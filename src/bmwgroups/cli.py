@@ -29,7 +29,7 @@ from typing import Optional
 
 from . import formats, radu, randmodel, structure
 from .errors import BmwError, ResourceError, UsageError
-from .permgroup import PermutationGroup
+from .permgroup import DEFAULT_ORDER_GUARD, PermutationGroup
 from .rng import RngState
 
 EXIT_OK = 0
@@ -57,7 +57,7 @@ class RunConfig:
     input_path: Optional[str] = None
     output_path: Optional[str] = None
     census_guard: int = structure.DEFAULT_CENSUS_GUARD
-    order_guard: int = 2000
+    order_guard: int = DEFAULT_ORDER_GUARD
     enumeration_limit: int = randmodel.DEFAULT_ENUMERATION_LIMIT
 
 

@@ -294,14 +294,16 @@ def random_fpf(n: int, rng: RngState) -> FpfInvolution:
     return FpfInvolution(images)
 
 
-def random_fpf_images_batch(n: int, seeds: np.ndarray, start_index: int = 0) -> np.ndarray:
-    """Batched :func:`random_fpf`, one involution per seed.
+def random_fpf_images_draft(
+    n: int, seeds: np.ndarray, start_index: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`random_fpf` that assumes no draw is rejected.
 
-    Row ``t`` equals ``random_fpf(n, RngState(seeds[t]))`` (after
-    ``start_index`` draws were already consumed from that state), returned as
-    a 1-based ``(len(seeds), n)`` image array.  The scalar sampler is the
-    authoritative semantics; rows whose draws hit the (once per ~2**50 draws)
-    rejection branch are recomputed with it.
+    Returns the 1-based ``(len(seeds), n)`` image array and a boolean mask of
+    the rows whose draws hit the (once per ~2**50 draws) rejection branch.
+    Unmasked rows equal ``random_fpf(n, RngState(seeds[t]))`` after
+    ``start_index`` draws were already consumed from that state; masked rows
+    are not valid and must be recomputed by the caller.
     """
     if n < 2 or n % 2:
         raise DegreeError("n must be even and at least 2")
@@ -310,18 +312,18 @@ def random_fpf_images_batch(n: int, seeds: np.ndarray, start_index: int = 0) -> 
     steps = n // 2
     slots = np.tile(np.arange(1, n + 1, dtype=np.int64), (batch, 1))
     rows = np.arange(batch)
-    redo = np.zeros(batch, dtype=bool)
+    rejected = np.zeros(batch, dtype=bool)
     idx = np.arange(start_index + 1, start_index + steps + 1, dtype=np.uint64)
-    from .rng import GAMMA, mix64_array  # local import to keep module load light
+    from .rng import GAMMA, mix64_array, rejection_limit  # keeps module load light
 
     draws = mix64_array(seeds[:, None] + idx[None, :] * np.uint64(GAMMA))
     for step in range(steps):
         anchor = 2 * step
         bound = n - anchor - 1
         u = draws[:, step]
-        limit = np.uint64((((1 << 64) // bound) * bound) & ((1 << 64) - 1))
-        if bound > 1 and limit != 0:
-            redo |= u >= limit
+        limit = rejection_limit(bound)
+        if limit < 1 << 64:
+            rejected |= u >= np.uint64(limit)
         j = (anchor + 1 + (u % np.uint64(bound)).astype(np.int64))
         tmp = slots[rows, j]
         slots[rows, j] = slots[:, anchor + 1]
@@ -332,8 +334,20 @@ def random_fpf_images_batch(n: int, seeds: np.ndarray, start_index: int = 0) -> 
         b = slots[:, 2 * step + 1]
         images[rows, a - 1] = b
         images[rows, b - 1] = a
-    if redo.any():
-        for t in np.nonzero(redo)[0]:
-            state = RngState(int(seeds[t]), index=start_index)
-            images[t] = random_fpf(n, state).images
+    return images, rejected
+
+
+def random_fpf_images_batch(n: int, seeds: np.ndarray, start_index: int = 0) -> np.ndarray:
+    """Batched :func:`random_fpf`, one involution per seed.
+
+    Row ``t`` equals ``random_fpf(n, RngState(seeds[t]))`` (after
+    ``start_index`` draws were already consumed from that state), returned as
+    a 1-based ``(len(seeds), n)`` image array.  The scalar sampler is the
+    authoritative semantics; rows whose draws hit the rejection branch are
+    recomputed with it.
+    """
+    images, rejected = random_fpf_images_draft(n, seeds, start_index)
+    for t in np.nonzero(rejected)[0]:
+        state = RngState(int(seeds[t]), index=start_index)
+        images[t] = random_fpf(n, state).images
     return images

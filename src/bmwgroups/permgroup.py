@@ -31,7 +31,6 @@ DEFAULT_PRIMITIVITY_GUARD = 10_000
 DEFAULT_JORDAN_WORDS = 200
 DEFAULT_JORDAN_WORD_LEN = 100
 _JORDAN_SEED = 0x6A09E667F3BCC908
-_CLOSURE_LIMIT = 1_000_000
 
 
 def _is_prime(p: int) -> bool:
@@ -196,35 +195,10 @@ class PermutationGroup:
                 self._primitive = True
             else:
                 self._primitive = all(
-                    self._block_size_with(w) == self.degree
-                    for w in range(1, self.degree)
+                    len(self.minimal_block_with(w)) == self.degree
+                    for w in range(2, self.degree + 1)
                 )
         return self._primitive
-
-    def _block_size_with(self, w: int) -> int:
-        """Size of the block containing 0 in the finest system merging {0, w}."""
-        parent = list(range(self.degree))
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        gens0 = self._images0()
-        parent[find(w)] = find(0)
-        queue = [(0, w)]
-        while queue:
-            x, y = queue.pop()
-            for g in gens0:
-                rx, ry = find(g[x]), find(g[y])
-                if rx != ry:
-                    parent[ry] = rx
-                    queue.append((g[x], g[y]))
-        root0 = find(0)
-        return sum(1 for x in range(self.degree) if find(x) == root0)
 
     def minimal_block_with(self, w: int) -> frozenset[int]:
         """The block of point 1 in the finest system merging {1, w} (1-based)."""
@@ -252,43 +226,6 @@ class PermutationGroup:
         return frozenset(x + 1 for x in range(self.degree) if find(x) == root0)
 
     # -- alternating-group recognition --------------------------------------------
-
-    def _closure_images(self) -> set[tuple[int, ...]]:
-        identity = tuple(range(self.degree))
-        elements = {identity}
-        frontier = [identity]
-        gens0 = self._images0()
-        while frontier:
-            cur = frontier.pop()
-            for g in gens0:
-                nxt = tuple(g[v] for v in cur)
-                if nxt not in elements:
-                    if len(elements) >= _CLOSURE_LIMIT:
-                        raise ResourceError("closure enumeration limit exceeded")
-                    elements.add(nxt)
-                    frontier.append(nxt)
-        return elements
-
-    def _contains_alternating_brute(self) -> bool:
-        elements = self._closure_images()
-        import itertools
-
-        for img in itertools.permutations(range(self.degree)):
-            transpositions = 0
-            seen = [False] * self.degree
-            for s in range(self.degree):
-                if not seen[s]:
-                    seen[s] = True
-                    length = 1
-                    t = img[s]
-                    while t != s:
-                        seen[t] = True
-                        length += 1
-                        t = img[t]
-                    transpositions += length - 1
-            if transpositions % 2 == 0 and img not in elements:
-                return False
-        return True
 
     def _word_element(self, rng: RngState, max_word_len: int) -> list[int]:
         gens = self._arrays0()
@@ -357,9 +294,9 @@ class PermutationGroup:
         """Whether Alt(degree) is contained in the group.
 
         exact
-            Computes the exact order and compares against d!/2 (for d >= 5
-            the unique index-2 subgroup of Sym(d) is Alt(d); below d = 5 the
-            closure is enumerated instead).  Deterministic true/false.
+            Computes the exact order and compares against d!/2 (for every
+            d >= 2 the unique index-2 subgroup of Sym(d) is Alt(d)).
+            Deterministic true/false.
 
         jordan
             Semi-decision procedure for degrees beyond the stabilizer-chain
@@ -377,8 +314,6 @@ class PermutationGroup:
         if not self._gens:
             return d <= 2  # Alt(d) is trivial only for d <= 2
         if strategy == "exact" or d < 5:
-            if d < 5:
-                return self._contains_alternating_brute()
             return self.order(guard=order_guard) >= math.factorial(d) // 2
         if not self.is_transitive():
             return False
@@ -422,11 +357,6 @@ class PermutationGroup:
         transitive = self.is_transitive()
         if strategy == "exact":
             order = self.order(guard=order_guard)
-            contains_alt = (
-                self._contains_alternating_brute()
-                if d < 5
-                else order >= math.factorial(d) // 2
-            )
             return GroupClassification(
                 degree=d,
                 method="exact",
@@ -434,7 +364,7 @@ class PermutationGroup:
                 is_transitive=transitive,
                 is_two_transitive=self.is_two_transitive() if d >= 2 else None,
                 is_primitive=self.is_primitive(),
-                contains_alternating=contains_alt,
+                contains_alternating=order >= math.factorial(d) // 2,
                 equals_symmetric=order == math.factorial(d),
             )
         contains_alt = self.contains_alternating(

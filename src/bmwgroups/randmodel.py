@@ -30,6 +30,7 @@ local actions required); the report only certifies hypotheses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,11 +49,10 @@ from .errors import (
 from .perm import (
     FpfInvolution,
     count_fpf,
-    double_factorial,
     enumerate_fpf,
     pairing,
     random_fpf,
-    random_fpf_images_batch,
+    random_fpf_images_draft,
 )
 from .permgroup import GroupClassification, PermutationGroup
 from .rng import GAMMA, RngState, mix64, mix64_array
@@ -100,8 +100,10 @@ class InvolutionTuple:
 def sample_tuple(m: int, n: int, rng: RngState) -> InvolutionTuple:
     """m independent uniform fixed-point-free involutions, one rng stream.
 
-    Coordinate ``c`` consumes the draws ``[c * n/2, (c+1) * n/2)`` of the
-    stream, so the whole tuple is a pure function of the rng seed.
+    Coordinate ``c`` makes ``n/2`` ``randbelow`` calls after those of the
+    coordinates before it; without a rejection these are the draws
+    ``[c * n/2, (c+1) * n/2)`` of the stream.  The whole tuple is a pure
+    function of the rng seed.
     """
     if m < 1:
         raise ArityError("m must be positive")
@@ -115,8 +117,9 @@ def sample_tuple_images_batch(
     """Image arrays of ``sample_tuple(m, n, rng.derive(t))`` for a trial range.
 
     Returns a ``(count, m, n)`` 1-based array whose row ``t`` equals the
-    scalar tuple for trial ``first_trial + t``.  Used by the Monte-Carlo
-    drivers; results are identical to the scalar path for every trial.
+    scalar tuple for trial ``first_trial + t`` on every branch: a trial whose
+    draws hit the rejection branch in any coordinate shifts the draws of the
+    later coordinates, so it is recomputed whole with :func:`sample_tuple`.
     """
     if n < 2 or n % 2:
         raise DegreeError("n must be even and at least 2")
@@ -124,8 +127,13 @@ def sample_tuple_images_batch(
     seeds = mix64_array(np.uint64(mix64(rng.seed)) + idx * np.uint64(GAMMA))
     steps = n // 2
     out = np.empty((count, m, n), dtype=np.int64)
+    rejected = np.zeros(count, dtype=bool)
     for c in range(m):
-        out[:, c, :] = random_fpf_images_batch(n, seeds, start_index=c * steps)
+        out[:, c, :], hit = random_fpf_images_draft(n, seeds, start_index=c * steps)
+        rejected |= hit
+    for t in np.nonzero(rejected)[0]:
+        tup = sample_tuple(m, n, rng.derive(first_trial + int(t)))
+        out[t] = [e.images for e in tup.entries]
     return out
 
 
@@ -560,11 +568,14 @@ def exact_orbit_share_prob(n: int) -> OrbitShareProbability:
     if n < 2 or n % 2:
         raise DegreeError("n must be even and at least 2")
     r = n // 2
-    denom = double_factorial(n - 1)
-    total = Fraction(0)
-    for k in range(1, r + 1):
-        term = Fraction(math.comb(r, k) * double_factorial(n - 2 * k - 1), denom)
-        total += term if k % 2 else -term
+    # One pass over k = r .. 1 on the common denominator (n-1)!!: ``comb`` is
+    # C(r, k) and ``df`` is (n-2k-1)!!, which ends as (n-1)!!.
+    numerator, comb, df = 0, 1, 1
+    for k in range(r, 0, -1):
+        numerator += comb * df if k % 2 else -comb * df
+        comb = comb * k // (r - k + 1)
+        df *= n - 2 * k + 1
+    total = Fraction(numerator, df)
     return OrbitShareProbability(total, float(total))
 
 
@@ -662,11 +673,71 @@ _PRIMARY_STAT = {
 
 def enumerate_tuples(m: int, n: int) -> Iterator[InvolutionTuple]:
     """All of (F_n)^m, in lexicographic order; desk-scale only."""
-    import itertools
-
     pool = list(enumerate_fpf(n))
     for combo in itertools.product(pool, repeat=m):
         yield InvolutionTuple(m, n, tuple(combo))
+
+
+# Per-tuple statistics of the batched kinds, each over a (B, m, n) image
+# array; the estimand is the mean of the returned column.
+
+
+def _shares_orbit(imgs: np.ndarray) -> np.ndarray:
+    return (imgs[:, 0, :] == imgs[:, 1, :]).any(axis=1)
+
+
+def _shared_orbit_count(imgs: np.ndarray) -> np.ndarray:
+    m = imgs.shape[1]
+    acc = np.zeros(len(imgs), dtype=np.int64)
+    for i in range(m):
+        for j in range(i + 1, m):
+            acc += (imgs[:, i, :] == imgs[:, j, :]).sum(axis=1)
+    return acc // 2
+
+
+def _has_triple_matching(imgs: np.ndarray) -> np.ndarray:
+    size, m, n = imgs.shape
+    flag = np.zeros((size, n), dtype=bool)
+    for i in range(m):
+        for j in range(i + 1, m):
+            eq_ij = imgs[:, i, :] == imgs[:, j, :]
+            for p in range(j + 1, m):
+                flag |= eq_ij & (imgs[:, j, :] == imgs[:, p, :])
+    return flag.any(axis=1)
+
+
+def _has_overlap(imgs: np.ndarray) -> np.ndarray:
+    size, m, n = imgs.shape
+    counts = np.zeros((size, n), dtype=np.int32)
+    for i in range(m):
+        for j in range(i + 1, m):
+            counts += imgs[:, i, :] == imgs[:, j, :]
+    return (counts >= 2).any(axis=1)
+
+
+_STATISTICS = {
+    "orbit_share": _shares_orbit,
+    "expected_M": _shared_orbit_count,
+    "triple_matching_rate": _has_triple_matching,
+    "overlap_rate": _has_overlap,
+}
+
+_CHUNK = 4096
+
+
+def _image_batches(m: int, n: int, trials: int, rng: RngState) -> Iterator[np.ndarray]:
+    """(B, m, n) image arrays of trials 0..trials-1, or of all (F_n)^m if 0."""
+    if trials:
+        for first in range(0, trials, _CHUNK):
+            yield sample_tuple_images_batch(m, n, rng, first, min(_CHUNK, trials - first))
+        return
+    pool = np.array([e.images for e in enumerate_fpf(n)], dtype=np.int64)
+    combos = itertools.product(range(len(pool)), repeat=m)
+    while True:
+        block = np.array(list(itertools.islice(combos, _CHUNK)), dtype=np.int64)
+        if not block.size:
+            return
+        yield pool[block]
 
 
 def _mean_se(values: np.ndarray) -> McStat:
@@ -676,74 +747,6 @@ def _mean_se(values: np.ndarray) -> McStat:
         return McStat(mean, 0.0)
     se = float(values.std(ddof=1) / math.sqrt(values.size))
     return McStat(mean, se)
-
-
-def _batch_values(kind: str, m: int, n: int, trials: int, rng: RngState) -> np.ndarray:
-    values = np.empty(trials, dtype=np.float64)
-    chunk = max(1, min(4096, trials))
-    done = 0
-    while done < trials:
-        size = min(chunk, trials - done)
-        imgs = sample_tuple_images_batch(m, n, rng, done, size)
-        if kind == "orbit_share":
-            values[done : done + size] = (imgs[:, 0, :] == imgs[:, 1, :]).any(axis=1)
-        elif kind == "expected_M":
-            acc = np.zeros(size, dtype=np.int64)
-            for i in range(m):
-                for j in range(i + 1, m):
-                    acc += (imgs[:, i, :] == imgs[:, j, :]).sum(axis=1)
-            values[done : done + size] = acc // 2
-        elif kind == "triple_matching_rate":
-            flag = np.zeros((size, n), dtype=bool)
-            for i in range(m):
-                for j in range(i + 1, m):
-                    eq_ij = imgs[:, i, :] == imgs[:, j, :]
-                    for p in range(j + 1, m):
-                        flag |= eq_ij & (imgs[:, j, :] == imgs[:, p, :])
-            values[done : done + size] = flag.any(axis=1)
-        elif kind == "overlap_rate":
-            counts = np.zeros((size, n), dtype=np.int32)
-            for i in range(m):
-                for j in range(i + 1, m):
-                    counts += imgs[:, i, :] == imgs[:, j, :]
-            values[done : done + size] = (counts >= 2).any(axis=1)
-        else:  # pragma: no cover - guarded by caller
-            raise UsageError(f"kind {kind!r} has no batch driver")
-        done += size
-    return values
-
-
-def _scalar_values(kind: str, m: int, n: int, trials: int, rng: RngState) -> np.ndarray:
-    values = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        tup = sample_tuple(m, n, rng.derive(t))
-        if kind == "orbit_share":
-            values[t] = float(bool(tup.pairings()[0] & tup.pairings()[1]))
-        elif kind == "expected_M":
-            values[t] = match_statistic(tup)
-        elif kind == "triple_matching_rate":
-            values[t] = float(triple_matchings(tup) is not None)
-        elif kind == "overlap_rate":
-            values[t] = float(overlapping_matches(tup) is not None)
-        else:
-            raise UsageError(f"kind {kind!r} has no scalar driver")
-    return values
-
-
-_CERT_FLAGS = (
-    "no_triple_matchings",
-    "no_overlapping_matches",
-    "midpoint",
-    "white_ball",
-    "connected",
-    "has_black_edge",
-    "a_local_two_transitive",
-    "a_local_symmetric",
-    "b_local_contains_alternating",
-    "b_local_alternating_unknown",
-    "irreducible_certified",
-    "hji_certified",
-)
 
 
 def _certificate_flags(rep: CertificateReport) -> dict:
@@ -798,7 +801,6 @@ def monte_carlo(
     *,
     radius: int = DEFAULT_BALL_RADIUS,
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-    force_scalar: bool = False,
 ) -> McResult:
     """Estimate a model statistic, by sampling or by exhaustive enumeration.
 
@@ -831,53 +833,30 @@ def monte_carlo(
                 f" {enumeration_limit}"
             )
         result = McResult(kind, m, n, 0, None, "enumeration")
-        if kind == "certificate_rates":
-            sums = {name: 0 for name in _CERT_FLAGS}
-            total = 0
-            for tup in enumerate_tuples(m_eff, n):
-                total += 1
-                for name, val in _certificate_flags(
-                    irr_certificate(tup, radius=radius)
-                ).items():
-                    sums[name] += bool(val)
-            for name in _CERT_FLAGS:
-                frac = Fraction(sums[name], total)
-                result.stats[name] = McStat(float(frac), 0.0)
-                result.exact_repr[name] = str(frac)
-        else:
-            total = 0
-            acc = Fraction(0)
-            for tup in enumerate_tuples(m_eff, n):
-                total += 1
-                if kind == "orbit_share":
-                    acc += bool(tup.pairings()[0] & tup.pairings()[1])
-                elif kind == "expected_M":
-                    acc += match_statistic(tup)
-                elif kind == "triple_matching_rate":
-                    acc += triple_matchings(tup) is not None
-                else:
-                    acc += overlapping_matches(tup) is not None
-            frac = acc / total
-            name = _PRIMARY_STAT[kind]
+    else:
+        result = McResult(kind, m, n, trials, rng.seed, "sampling")
+
+    if kind == "certificate_rates":
+        tuples = (
+            enumerate_tuples(m_eff, n)
+            if trials == 0
+            else (sample_tuple(m_eff, n, rng.derive(t)) for t in range(trials))
+        )
+        rows = [_certificate_flags(irr_certificate(tup, radius=radius)) for tup in tuples]
+        columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    else:
+        statistic = _STATISTICS[kind]
+        columns = {
+            _PRIMARY_STAT[kind]: np.concatenate(
+                [statistic(imgs) for imgs in _image_batches(m_eff, n, trials, rng)]
+            )
+        }
+    for name, values in columns.items():
+        if trials == 0:
+            frac = Fraction(int(values.sum()), len(values))
             result.stats[name] = McStat(float(frac), 0.0)
             result.exact_repr[name] = str(frac)
-        _attach_closed_forms(result, kind, m_eff, n)
-        return result
-
-    result = McResult(kind, m, n, trials, rng.seed, "sampling")
-    if kind == "certificate_rates":
-        flags = {name: np.empty(trials, dtype=np.float64) for name in _CERT_FLAGS}
-        for t in range(trials):
-            tup = sample_tuple(m_eff, n, rng.derive(t))
-            for name, val in _certificate_flags(
-                irr_certificate(tup, radius=radius)
-            ).items():
-                flags[name][t] = float(val)
-        for name in _CERT_FLAGS:
-            result.stats[name] = _mean_se(flags[name])
-    else:
-        driver = _scalar_values if force_scalar else _batch_values
-        values = driver(kind, m_eff, n, trials, rng)
-        result.stats[_PRIMARY_STAT[kind]] = _mean_se(values)
+        else:
+            result.stats[name] = _mean_se(values)
     _attach_closed_forms(result, kind, m_eff, n)
     return result

@@ -56,6 +56,11 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def rejection_limit(bound: int) -> int:
+    """Raw words at or above this value are rejected by ``randbelow(bound)``."""
+    return ((1 << 64) // bound) * bound
+
+
 def raw_block(seed: int, start_index: int, count: int) -> np.ndarray:
     """Raw words ``u_{start_index+1} .. u_{start_index+count}`` of a stream.
 
@@ -91,7 +96,7 @@ class RngState:
         """Uniform integer in ``[0, bound)`` via rejection sampling."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        limit = ((1 << 64) // bound) * bound
+        limit = rejection_limit(bound)
         while True:
             u = self._draw()
             if u < limit:

@@ -5,7 +5,8 @@ touching the implementation paths under test: permutation filtering instead
 of backtracking enumeration, multiplication closures instead of stabilizer
 chains, partition scans instead of union-find block refinement, per-vertex
 breadth-first searches instead of the contaminated-set computation,
-coincidence scans of image arrays instead of local-action groups.
+coincidence scans of image arrays instead of local-action groups, one scalar
+tuple at a time instead of batched image-array statistics.
 """
 
 from __future__ import annotations
@@ -13,6 +14,15 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from bmwgroups.randmodel import (
+    match_statistic,
+    overlapping_matches,
+    sample_tuple,
+    triple_matchings,
+)
 
 
 def fpf_involutions_by_filter(n):
@@ -55,6 +65,16 @@ def closure_order(perms):
     if not perms:
         return 1
     return len(closure([tuple(v - 1 for v in p.images) for p in perms]))
+
+
+def contains_alternating_by_closure(perms, degree):
+    """Whether the closure of the generators holds every even permutation."""
+    elements = closure([tuple(v - 1 for v in p.images) for p in perms]) if perms else {tuple(range(degree))}
+    for img in itertools.permutations(range(degree)):
+        inversions = sum(img[i] > img[j] for i, j in itertools.combinations(range(degree), 2))
+        if inversions % 2 == 0 and img not in elements:
+            return False
+    return True
 
 
 def is_two_transitive_by_closure(perms, degree):
@@ -199,3 +219,26 @@ def connected_graph_probability(m, q):
             )
         )
     return Fraction(scaled[m], b ** math.comb(m, 2))
+
+
+def scalar_mc_values(kind, m, n, trials, rng):
+    """Per-trial values of a batched Monte-Carlo kind, one tuple at a time.
+
+    Trial ``t`` is ``sample_tuple(m, n, rng.derive(t))``; its value comes from
+    the point-by-point witness functions instead of image-array statistics.
+    ``orbit_share`` reads the first two coordinates.
+    """
+    values = np.empty(trials, dtype=np.float64)
+    for t in range(trials):
+        tup = sample_tuple(m, n, rng.derive(t))
+        if kind == "orbit_share":
+            values[t] = bool(tup.pairings()[0] & tup.pairings()[1])
+        elif kind == "expected_M":
+            values[t] = match_statistic(tup)
+        elif kind == "triple_matching_rate":
+            values[t] = triple_matchings(tup) is not None
+        elif kind == "overlap_rate":
+            values[t] = overlapping_matches(tup) is not None
+        else:
+            raise ValueError(f"kind {kind!r} has no scalar oracle")
+    return values

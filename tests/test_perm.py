@@ -200,6 +200,18 @@ class TestSampling:
                 scalar = random_fpf(n, RngState(int(seeds[t])))
                 assert tuple(int(v) for v in batch[t]) == scalar.images
 
+    def test_batch_matches_scalar_under_frequent_rejection(self, monkeypatch):
+        # lower the threshold so that about one draw in 16 is rejected
+        import bmwgroups.rng as rng_module
+
+        real = rng_module.rejection_limit
+        monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
+        seeds = np.array([RngState(3).derive(t).seed for t in range(200)], dtype=np.uint64)
+        batch = random_fpf_images_batch(8, seeds, start_index=2)
+        for t in range(200):
+            scalar = random_fpf(8, RngState(int(seeds[t]), index=2))
+            assert tuple(int(v) for v in batch[t]) == scalar.images
+
     def test_batch_with_start_index(self):
         seeds = np.array([981723], dtype=np.uint64)
         state = RngState(981723)

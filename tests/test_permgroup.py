@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from bmwgroups.rng import RngState
 
 from .oracles import (
     closure_order,
+    contains_alternating_by_closure,
     is_primitive_by_partition_scan,
     is_two_transitive_by_closure,
 )
@@ -157,6 +159,19 @@ class TestAlternatingRecognition:
             contains_alternating(group(4, cyc(4, (1, 2, 3)), cyc(4, (2, 3, 4))), "exact")
             is True
         )
+
+    def test_small_degrees_match_closure_oracle(self):
+        # every group generated by at most two elements of Sym(d), d <= 4
+        for degree in range(1, 5):
+            elements = [Permutation([v + 1 for v in img])
+                        for img in itertools.permutations(range(degree))]
+            for k in (0, 1, 2):
+                for gens in itertools.combinations(elements, k):
+                    expected = contains_alternating_by_closure(gens, degree)
+                    g = PermutationGroup(degree, gens)
+                    assert contains_alternating(g, "exact") is expected
+                    assert contains_alternating(g, "jordan") is expected
+                    assert g.classify().contains_alternating is expected
 
     def test_alt_itself(self):
         alt5 = group(5, cyc(5, (1, 2, 3)), cyc(5, (3, 4, 5)))

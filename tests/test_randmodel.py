@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import bmwgroups.rng as rng_module
 from bmwgroups.errors import (
     ArityError,
     DegreeError,
@@ -15,6 +16,8 @@ from bmwgroups.perm import Permutation, enumerate_fpf, pairing
 from bmwgroups.permgroup import PermutationGroup
 from bmwgroups.randmodel import (
     InvolutionTuple,
+    _certificate_flags,
+    _mean_se,
     caprace_exceptional_set,
     enumerate_tuples,
     exact_orbit_share_prob,
@@ -26,13 +29,14 @@ from bmwgroups.randmodel import (
     monte_carlo,
     overlapping_matches,
     sample_tuple,
+    sample_tuple_images_batch,
     structure_set_from_tuple,
     triple_matchings,
     white_ball_vertex,
 )
 from bmwgroups.rng import RngState
 
-from .oracles import white_ball_exists_by_bfs
+from .oracles import scalar_mc_values, white_ball_exists_by_bfs
 
 
 def cyc(n, *cycles):
@@ -476,6 +480,11 @@ class TestMonteCarlo:
         overlap = Fraction(sum(overlapping_matches(t) is not None for t in pool), len(pool))
         result = monte_carlo("overlap_rate", 2, 4, 0, RngState(0))
         assert Fraction(result.exact_repr["rate"]) == overlap
+        # triple matchings need three coordinates to be possible
+        pool3 = list(enumerate_tuples(3, 4))
+        triple = Fraction(sum(triple_matchings(t) is not None for t in pool3), len(pool3))
+        result = monte_carlo("triple_matching_rate", 3, 4, 0, RngState(0))
+        assert Fraction(result.exact_repr["rate"]) == triple
 
     def test_enumeration_certificate_rates(self):
         result = monte_carlo("certificate_rates", 2, 4, 0, RngState(0))
@@ -508,9 +517,20 @@ class TestMonteCarlo:
             ("triple_matching_rate", 3),
             ("overlap_rate", 3),
         ):
-            scalar = monte_carlo(kind, m, 6, 400, RngState(5), force_scalar=True)
+            scalar = _mean_se(scalar_mc_values(kind, m or 2, 6, 400, RngState(5)))
             batch = monte_carlo(kind, m, 6, 400, RngState(5))
-            assert scalar.primary() == batch.primary()
+            assert batch.primary() == scalar
+
+    def test_certificate_rates_match_per_trial_certificates(self):
+        trials, rng = 40, RngState(6)
+        result = monte_carlo("certificate_rates", 3, 6, trials, rng)
+        rows = [
+            _certificate_flags(irr_certificate(sample_tuple(3, 6, rng.derive(t))))
+            for t in range(trials)
+        ]
+        assert list(result.stats) == list(rows[0])
+        for name, stat in result.stats.items():
+            assert stat.mean == sum(row[name] for row in rows) / trials
 
     def test_certificate_rates_run(self):
         result = monte_carlo("certificate_rates", 3, 6, 50, RngState(6))
@@ -527,3 +547,27 @@ class TestMonteCarlo:
         a = monte_carlo("triple_matching_rate", 3, 8, 2000, RngState(12))
         b = monte_carlo("triple_matching_rate", 3, 8, 2000, RngState(12))
         assert a.primary() == b.primary()
+
+
+class TestRejectionBranch:
+    """Batch rows equal ``sample_tuple`` also when a draw is rejected.
+
+    A rejection makes ``randbelow`` draw again, which shifts every later
+    coordinate of the scalar tuple.  The real threshold rejects about once
+    per 2**50 draws, so it is lowered here to reject about one draw in 16.
+    """
+
+    def test_batch_rows_equal_sample_tuple(self, monkeypatch):
+        real = rng_module.rejection_limit
+        monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
+        rng = RngState(2024)
+        for m, n, first in ((3, 6, 0), (4, 8, 5000)):
+            trials = 300
+            imgs = sample_tuple_images_batch(m, n, rng, first, trials)
+            shifted = 0
+            for t in range(trials):
+                state = rng.derive(first + t)
+                tup = sample_tuple(m, n, state)
+                assert imgs[t].tolist() == [list(e.images) for e in tup.entries]
+                shifted += state.index > m * (n // 2)
+            assert shifted > trials // 4  # the branch is exercised
