@@ -112,7 +112,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     except (OSError, ValueError, BmwError) as exc:
         _note(f"error: cannot read tuple file: {exc}")
         return EXIT_USAGE
-    report = randmodel.irr_certificate(t, radius=cfg.radius)
+    report = randmodel.irr_certificate(t, radius=cfg.radius, order_guard=cfg.order_guard)
     _emit(formats.dumps(formats.report_document(report)), cfg.output_path)
     return EXIT_OK if report.hji_certified else EXIT_NOT_CERTIFIED
 

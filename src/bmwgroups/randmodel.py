@@ -2,11 +2,18 @@
 
 A tuple ``(alpha_1, .., alpha_m)`` of fixed-point-free involutions of degree
 ``n`` with no triple matchings determines a structure set whose B-side local
-involutions are exactly the ``alpha_i``: for each point pair ``k < l`` the
-set of coordinates mapping ``k`` to ``l`` (at most two of them) contributes
-one square.  This module samples such tuples reproducibly, evaluates every
-certificate used to predict properties of the presented group, and runs
-exact or Monte-Carlo probability computations against closed-form values.
+involutions are exactly the ``alpha_i``.  This module samples such tuples
+reproducibly, evaluates every certificate used to predict properties of the
+presented group, and runs exact or Monte-Carlo probability computations
+against closed-form values.
+
+The match graph (:class:`MatchGraph`) is the tuple's single coincidence
+table: one pass maps each point pair ``k < l`` to the coordinates mapping
+``k`` to ``l`` (at most two of them span one square of the structure set).
+The triple and overlap witnesses, the midpoint check, the shared-orbit
+statistic, black/white edges, connectivity, white balls and the structure
+set are all read from it.  The batched Monte-Carlo statistics compute the
+same coincidences over whole ``(B, m, n)`` image arrays.
 
 Certificates (names used in reports):
 
@@ -54,9 +61,9 @@ from .perm import (
     random_fpf,
     random_fpf_images_draft,
 )
-from .permgroup import GroupClassification, PermutationGroup
+from .permgroup import DEFAULT_ORDER_GUARD, GroupClassification, PermutationGroup
 from .rng import GAMMA, RngState, mix64, mix64_array
-from .structure import StructureSet, Square, validate
+from .structure import StructureSet
 
 DEFAULT_BALL_RADIUS = 6
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
@@ -137,7 +144,7 @@ def sample_tuple_images_batch(
     return out
 
 
-# -- matchings and witnesses ---------------------------------------------------------------
+# -- the match graph: the tuple's coincidence table ---------------------------------------
 
 
 class TripleWitness(NamedTuple):
@@ -157,121 +164,21 @@ class MidpointResult:
     failing: Optional[tuple[int, int]] = None
 
 
-def triple_matchings(t: InvolutionTuple) -> Optional[TripleWitness]:
-    """First (point, coordinate triple) with three coordinates agreeing.
-
-    Witnesses are lexicographically first in ``(k, i, j, p)``; returns None
-    when there is no triple matching (always, for m < 3).
-    """
-    if t.m < 3:
-        return None
-    images = [e.images for e in t.entries]
-    for k in range(1, t.n + 1):
-        hits: dict[int, list[int]] = {}
-        for idx, img in enumerate(images, 1):
-            hits.setdefault(img[k - 1], []).append(idx)
-        best = None
-        for coords in hits.values():
-            if len(coords) >= 3:
-                triple = tuple(coords[:3])
-                if best is None or triple < best:
-                    best = triple
-        if best is not None:
-            return TripleWitness(k, best)
-    return None
-
-
-def overlapping_matches(t: InvolutionTuple) -> Optional[OverlapWitness]:
-    """First point where two distinct coordinate pairs agree.
-
-    The two pairs may intersect; only inequality of the pairs is required.
-    """
-    if t.m < 2:
-        return None
-    images = [e.images for e in t.entries]
-    for k in range(1, t.n + 1):
-        hits: dict[int, list[int]] = {}
-        for idx, img in enumerate(images, 1):
-            hits.setdefault(img[k - 1], []).append(idx)
-        point_pairs = []
-        for coords in hits.values():
-            if len(coords) >= 2:
-                point_pairs.extend(
-                    (coords[i], coords[j])
-                    for i in range(len(coords))
-                    for j in range(i + 1, len(coords))
-                )
-        if len(point_pairs) >= 2:
-            point_pairs.sort()
-            return OverlapWitness(k, point_pairs[0], point_pairs[1])
-    return None
-
-
-def midpoint_property(t: InvolutionTuple) -> MidpointResult:
-    """For every i != i', some third coordinate shares an orbit with both.
-
-    The middle coordinate j is required to differ from i and i'; this is the
-    reading under which the property, together with no triple matchings and
-    no overlapping matches, forces the A-side local action to be the full
-    symmetric group.
-    """
-    if t.m < 3:
-        raise ArityError("midpoint property needs at least 3 coordinates")
-    ps = t.pairings()
-    shared = [
-        [bool(ps[i] & ps[j]) if i != j else True for j in range(t.m)]
-        for i in range(t.m)
-    ]
-    for i in range(t.m):
-        for i2 in range(i + 1, t.m):
-            if not any(
-                shared[i][j] and shared[j][i2]
-                for j in range(t.m)
-                if j != i and j != i2
-            ):
-                return MidpointResult(False, (i + 1, i2 + 1))
-    return MidpointResult(True, None)
-
-
-def structure_set_from_tuple(t: InvolutionTuple) -> StructureSet:
-    """The structure set with B-side local involutions exactly ``t.entries``.
-
-    For each ``k < l``, the coordinates mapping ``k`` to ``l`` (one or two of
-    them, by the no-triple-matchings requirement) span one square.
-    """
-    witness = triple_matchings(t)
-    if witness is not None:
-        raise TripleMatchingError(witness)
-    squares = []
-    images = [e.images for e in t.entries]
-    for k in range(1, t.n + 1):
-        groups: dict[int, list[int]] = {}
-        for idx in range(1, t.m + 1):
-            l = images[idx - 1][k - 1]
-            if l > k:
-                groups.setdefault(l, []).append(idx)
-        for l, coords in groups.items():
-            if len(coords) == 1:
-                squares.append(Square(coords[0], k, coords[0], l))
-            else:
-                squares.append(Square(coords[0], k, coords[1], l))
-    return validate(t.m, t.n, squares)
-
-
-# -- the match graph -----------------------------------------------------------------------
-
-
 class MatchGraph:
     """Graph on the points 1..n with an edge where some coordinate matches.
 
-    An edge {i, j} exists when some coordinate maps i to j; it is black when
+    An edge {k, l} exists when some coordinate maps k to l; it is black when
     at least two distinct coordinates do, white otherwise.  Simple graph;
     fixed points cannot occur (all entries are fixed-point-free).
+    ``edge_coords`` maps each edge ``(k, l)``, ``k < l``, to the coordinates
+    sending k to l, in coordinate order: the coordinates agreeing at a point
+    are exactly those of one edge at it.
     """
 
-    __slots__ = ("n", "edge_coords", "_adj")
+    __slots__ = ("m", "n", "edge_coords", "_adj")
 
-    def __init__(self, n: int, edge_coords: dict):
+    def __init__(self, m: int, n: int, edge_coords: dict):
+        self.m = m
         self.n = n
         self.edge_coords = edge_coords
         self._adj: Optional[dict] = None
@@ -280,13 +187,10 @@ class MatchGraph:
     def from_tuple(cls, t: InvolutionTuple) -> "MatchGraph":
         edge_coords: dict[tuple[int, int], tuple[int, ...]] = {}
         for idx, entry in enumerate(t.entries, 1):
-            img = entry.images
-            for k in range(1, t.n + 1):
-                l = img[k - 1]
+            for k, l in enumerate(entry.images, 1):
                 if k < l:
-                    key = (k, l)
-                    edge_coords[key] = edge_coords.get(key, ()) + (idx,)
-        return cls(t.n, edge_coords)
+                    edge_coords[(k, l)] = edge_coords.get((k, l), ()) + (idx,)
+        return cls(t.m, t.n, edge_coords)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edge_coords))
@@ -296,6 +200,84 @@ class MatchGraph:
 
     def white_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(e for e, cs in self.edge_coords.items() if len(cs) == 1))
+
+    def triple_witness(self) -> Optional[TripleWitness]:
+        """First (point, coordinate triple) with three coordinates agreeing.
+
+        Witnesses are lexicographically first in ``(k, i, j, p)``; None when
+        there is no triple matching (always, for m < 3).  The first point of
+        a triple matching is the lower end of its edge, so the witness is the
+        least ``(k, cs[:3])`` over edges with three or more coordinates.
+        """
+        return min(
+            (TripleWitness(k, cs[:3]) for (k, _), cs in self.edge_coords.items() if len(cs) >= 3),
+            default=None,
+        )
+
+    def overlap_witness(self) -> Optional[OverlapWitness]:
+        """First point where two distinct coordinate pairs agree.
+
+        The pairs agreeing at a point are those of the black edges at it; the
+        two pairs may intersect.  The witness holds the two smallest pairs.
+        """
+        pairs_at: dict[int, list[tuple[int, int]]] = {}
+        for (k, l), cs in self.edge_coords.items():
+            if len(cs) >= 2:
+                pairs = list(itertools.combinations(cs, 2))
+                pairs_at.setdefault(k, []).extend(pairs)
+                pairs_at.setdefault(l, []).extend(pairs)
+        point = min((p for p, pairs in pairs_at.items() if len(pairs) >= 2), default=None)
+        if point is None:
+            return None
+        first, second = sorted(pairs_at[point])[:2]
+        return OverlapWitness(point, first, second)
+
+    def midpoint(self) -> MidpointResult:
+        """For every i != i', some third coordinate shares an orbit with both.
+
+        The middle coordinate j is required to differ from i and i'; this is
+        the reading under which the property, together with no triple
+        matchings and no overlapping matches, forces the A-side local action
+        to be the full symmetric group.  Two coordinates share an orbit
+        exactly when they lie on a common black edge.
+        """
+        m = self.m
+        if m < 3:
+            raise ArityError("midpoint property needs at least 3 coordinates")
+        shared = [[i == j for j in range(m)] for i in range(m)]
+        for cs in self.edge_coords.values():
+            for i, j in itertools.combinations(cs, 2):
+                shared[i - 1][j - 1] = shared[j - 1][i - 1] = True
+        for i, i2 in itertools.combinations(range(m), 2):
+            if not any(shared[i][j] and shared[j][i2] for j in range(m) if j not in (i, i2)):
+                return MidpointResult(False, (i + 1, i2 + 1))
+        return MidpointResult(True, None)
+
+    def match_statistic(self) -> int:
+        """Total number of shared orbits over all coordinate pairs.
+
+        An edge with coordinates ``cs`` is shared by C(|cs|, 2) pairs, so the
+        total equals the black-edge count exactly without triple matchings.
+        """
+        return sum(math.comb(len(cs), 2) for cs in self.edge_coords.values())
+
+    def structure_set(self) -> StructureSet:
+        """The structure set with B-side local involutions the tuple's entries.
+
+        Each edge ``{k < l}`` spans one square: cell ``(c, k)`` is paired with
+        ``(c', l)``, c' being the edge's other coordinate, or c on a white
+        edge.  An edge with three coordinates raises TripleMatchingError.
+        """
+        n = self.n
+        pairs: list = [None] * (self.m * n)
+        for (k, l), cs in self.edge_coords.items():
+            if len(cs) >= 3:
+                raise TripleMatchingError(self.triple_witness())
+            for c in cs:
+                other = cs[-1] if c == cs[0] else cs[0]
+                pairs[(c - 1) * n + k - 1] = (other, l)
+                pairs[(c - 1) * n + l - 1] = (other, k)
+        return StructureSet(self.m, n, pairs)
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         if self._adj is None:
@@ -342,16 +324,29 @@ def match_graph(t: InvolutionTuple) -> MatchGraph:
     return MatchGraph.from_tuple(t)
 
 
-def match_statistic(t: InvolutionTuple) -> int:
-    """Total number of shared orbits over all coordinate pairs.
+def triple_matchings(t: InvolutionTuple) -> Optional[TripleWitness]:
+    """The first triple matching of ``t``; see :meth:`MatchGraph.triple_witness`."""
+    return match_graph(t).triple_witness()
 
-    Equals the black-edge count of the match graph exactly when the tuple
-    has no triple matchings, and exceeds it otherwise.
-    """
-    ps = t.pairings()
-    return sum(
-        len(ps[i] & ps[j]) for i in range(t.m) for j in range(i + 1, t.m)
-    )
+
+def overlapping_matches(t: InvolutionTuple) -> Optional[OverlapWitness]:
+    """The first overlapping match of ``t``; see :meth:`MatchGraph.overlap_witness`."""
+    return match_graph(t).overlap_witness()
+
+
+def midpoint_property(t: InvolutionTuple) -> MidpointResult:
+    """The midpoint property of ``t``; see :meth:`MatchGraph.midpoint`."""
+    return match_graph(t).midpoint()
+
+
+def match_statistic(t: InvolutionTuple) -> int:
+    """Shared orbits of ``t``; see :meth:`MatchGraph.match_statistic`."""
+    return match_graph(t).match_statistic()
+
+
+def structure_set_from_tuple(t: InvolutionTuple) -> StructureSet:
+    """The structure set with B-side local involutions exactly ``t.entries``."""
+    return match_graph(t).structure_set()
 
 
 def white_ball_vertex(graph: MatchGraph, radius: int) -> Optional[int]:
@@ -504,6 +499,7 @@ def irr_certificate(
     exact_max_degree: int = 128,
     jordan_words: int = 200,
     jordan_word_len: int = 100,
+    order_guard: int = DEFAULT_ORDER_GUARD,
 ) -> CertificateReport:
     """Evaluate every certificate for one tuple.
 
@@ -511,21 +507,22 @@ def irr_certificate(
     default 6 is tied to the stabilizer indices of the Trofimov-Weiss
     criterion.  When triple matchings prevent a structure set, the local
     classifications are omitted and dependent certificates read unknown.
+    ``order_guard`` bounds the degree of both classifications' exact chains.
     """
-    triple = triple_matchings(t)
-    overlap = overlapping_matches(t)
-    mid = midpoint_property(t) if t.m >= 3 else None
     graph = match_graph(t)
-    black = graph.black_edges()
+    triple = graph.triple_witness()
+    overlap = graph.overlap_witness()
+    mid = graph.midpoint() if t.m >= 3 else None
     a_cls = b_cls = None
     if triple is None:
-        derived = structure_set_from_tuple(t)
+        derived = graph.structure_set()
         a_group = PermutationGroup(t.m, derived.local_involutions("A"))
         b_group = PermutationGroup(t.n, derived.local_involutions("B"))
-        a_cls = a_group.classify("auto", exact_max_degree=exact_max_degree)
+        a_cls = a_group.classify("auto", order_guard=order_guard, exact_max_degree=exact_max_degree)
         b_cls = b_group.classify(
             "auto",
             rng=rng,
+            order_guard=order_guard,
             exact_max_degree=exact_max_degree,
             words=jordan_words,
             max_word_len=jordan_word_len,
@@ -542,8 +539,8 @@ def irr_certificate(
         midpoint_witness=None if mid is None else mid.failing,
         white_ball_vertex=white_ball_vertex(graph, radius),
         connected=graph.is_connected(),
-        has_black_edge=len(black) > 0,
-        match_statistic=match_statistic(t),
+        has_black_edge=bool(graph.black_edges()),
+        match_statistic=graph.match_statistic(),
         a_local=a_cls,
         b_local=b_cls,
     )

@@ -5,8 +5,9 @@ touching the implementation paths under test: permutation filtering instead
 of backtracking enumeration, multiplication closures instead of stabilizer
 chains, partition scans instead of union-find block refinement, per-vertex
 breadth-first searches instead of the contaminated-set computation,
-coincidence scans of image arrays instead of local-action groups, one scalar
-tuple at a time instead of batched image-array statistics.
+coincidence scans of image arrays instead of local-action groups or the
+match graph, one scalar tuple at a time instead of batched image-array
+statistics.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from bmwgroups.errors import ArityError, TripleMatchingError
 from bmwgroups.randmodel import (
-    match_statistic,
-    overlapping_matches,
+    MidpointResult,
+    OverlapWitness,
+    TripleWitness,
     sample_tuple,
-    triple_matchings,
 )
+from bmwgroups.structure import Square, validate
 
 
 def fpf_involutions_by_filter(n):
@@ -221,11 +224,108 @@ def connected_graph_probability(m, q):
     return Fraction(scaled[m], b ** math.comb(m, 2))
 
 
+def triple_matchings_by_scan(t):
+    """First (point, coordinate triple) with three coordinates agreeing.
+
+    Scans the points in order and groups the coordinates by their image
+    there; the witness is lexicographically first in ``(k, i, j, p)``.
+    """
+    if t.m < 3:
+        return None
+    images = [e.images for e in t.entries]
+    for k in range(1, t.n + 1):
+        hits = {}
+        for idx, img in enumerate(images, 1):
+            hits.setdefault(img[k - 1], []).append(idx)
+        best = None
+        for coords in hits.values():
+            if len(coords) >= 3:
+                triple = tuple(coords[:3])
+                if best is None or triple < best:
+                    best = triple
+        if best is not None:
+            return TripleWitness(k, best)
+    return None
+
+
+def overlapping_matches_by_scan(t):
+    """First point where two distinct coordinate pairs agree, by a point scan."""
+    if t.m < 2:
+        return None
+    images = [e.images for e in t.entries]
+    for k in range(1, t.n + 1):
+        hits = {}
+        for idx, img in enumerate(images, 1):
+            hits.setdefault(img[k - 1], []).append(idx)
+        point_pairs = []
+        for coords in hits.values():
+            if len(coords) >= 2:
+                point_pairs.extend(
+                    (coords[i], coords[j])
+                    for i in range(len(coords))
+                    for j in range(i + 1, len(coords))
+                )
+        if len(point_pairs) >= 2:
+            point_pairs.sort()
+            return OverlapWitness(k, point_pairs[0], point_pairs[1])
+    return None
+
+
+def midpoint_by_pairings(t):
+    """The midpoint property from intersections of the orbit pairings."""
+    if t.m < 3:
+        raise ArityError("midpoint property needs at least 3 coordinates")
+    ps = t.pairings()
+    shared = [
+        [bool(ps[i] & ps[j]) if i != j else True for j in range(t.m)]
+        for i in range(t.m)
+    ]
+    for i in range(t.m):
+        for i2 in range(i + 1, t.m):
+            if not any(
+                shared[i][j] and shared[j][i2]
+                for j in range(t.m)
+                if j != i and j != i2
+            ):
+                return MidpointResult(False, (i + 1, i2 + 1))
+    return MidpointResult(True, None)
+
+
+def match_statistic_by_pairings(t):
+    """Shared orbits over all coordinate pairs, from pairing intersections."""
+    ps = t.pairings()
+    return sum(len(ps[i] & ps[j]) for i in range(t.m) for j in range(i + 1, t.m))
+
+
+def structure_set_by_squares(t):
+    """The derived structure set, built as a square list and validated.
+
+    For each ``k < l`` the coordinates mapping k to l span one square.
+    """
+    witness = triple_matchings_by_scan(t)
+    if witness is not None:
+        raise TripleMatchingError(witness)
+    squares = []
+    images = [e.images for e in t.entries]
+    for k in range(1, t.n + 1):
+        groups = {}
+        for idx in range(1, t.m + 1):
+            l = images[idx - 1][k - 1]
+            if l > k:
+                groups.setdefault(l, []).append(idx)
+        for l, coords in groups.items():
+            if len(coords) == 1:
+                squares.append(Square(coords[0], k, coords[0], l))
+            else:
+                squares.append(Square(coords[0], k, coords[1], l))
+    return validate(t.m, t.n, squares)
+
+
 def scalar_mc_values(kind, m, n, trials, rng):
     """Per-trial values of a batched Monte-Carlo kind, one tuple at a time.
 
     Trial ``t`` is ``sample_tuple(m, n, rng.derive(t))``; its value comes from
-    the point-by-point witness functions instead of image-array statistics.
+    the point-by-point oracles above instead of image-array statistics.
     ``orbit_share`` reads the first two coordinates.
     """
     values = np.empty(trials, dtype=np.float64)
@@ -234,11 +334,11 @@ def scalar_mc_values(kind, m, n, trials, rng):
         if kind == "orbit_share":
             values[t] = bool(tup.pairings()[0] & tup.pairings()[1])
         elif kind == "expected_M":
-            values[t] = match_statistic(tup)
+            values[t] = match_statistic_by_pairings(tup)
         elif kind == "triple_matching_rate":
-            values[t] = triple_matchings(tup) is not None
+            values[t] = triple_matchings_by_scan(tup) is not None
         elif kind == "overlap_rate":
-            values[t] = overlapping_matches(tup) is not None
+            values[t] = overlapping_matches_by_scan(tup) is not None
         else:
             raise ValueError(f"kind {kind!r} has no scalar oracle")
     return values

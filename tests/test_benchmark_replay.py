@@ -1,0 +1,40 @@
+"""Tier-1 smoke of the benchmark's stage-by-stage certify replay.
+
+``perfbench/workloads.py`` rebuilds each ``irr_certificate`` report from the
+public functions it is made of, one call at a time.  A change to any of them
+that breaks the decomposition fails here instead of in a benchmark run.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bmwgroups.randmodel import irr_certificate, sample_tuple
+from bmwgroups.rng import RngState
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    return workloads, spans.Tracer
+
+
+def test_certificate_stages_rebuild_the_report(workloads):
+    module, tracer = workloads
+    root = RngState(41)
+    built = 0
+    for t in range(5):
+        tup = sample_tuple(6, 200, root.derive(t))
+        rebuilt, b_gens = module.certificate_stages(tracer(False), tup, 6)
+        rep = irr_certificate(tup)
+        assert rebuilt == rep
+        assert rebuilt.to_dict() == rep.to_dict()
+        if b_gens is not None:
+            built += 1
+            assert [g.images for g in b_gens] == [e.images for e in tup.entries]
+    assert built > 0

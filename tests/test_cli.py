@@ -181,8 +181,8 @@ class TestAnalyze:
         import bmwgroups.cli as cli_mod
         from bmwgroups.randmodel import irr_certificate as real_certificate
 
-        def certified(t, radius):
-            rep = real_certificate(t, radius=radius)
+        def certified(t, radius, order_guard):
+            rep = real_certificate(t, radius=radius, order_guard=order_guard)
             sym = dataclasses.replace(
                 rep.a_local, contains_alternating=True, is_two_transitive=True
             )
@@ -204,6 +204,20 @@ class TestAnalyze:
         code, out, _err = run(capsys, "analyze", "--input", str(path))
         assert code == 0
         assert json.loads(out)["conclusions"]["hereditarily_just_infinite_certified"]
+
+
+    def test_order_guard_env_reaches_classification(self, capsys, tmp_path, monkeypatch):
+        tup = sample_tuple(6, 200, RngState(3))
+        rep = irr_certificate(tup)
+        assert rep.a_local is not None  # the A side runs an exact chain at degree 6
+        path = self._write_tuple(tmp_path, tup)
+        monkeypatch.setenv("BMWGROUPS_ORDER_GUARD", "3")
+        code, out, err = run(capsys, "analyze", "--input", path)
+        assert code == 3 and out == "" and "resource guard" in err
+        monkeypatch.delenv("BMWGROUPS_ORDER_GUARD")
+        code, out, _err = run(capsys, "analyze", "--input", path)
+        assert code == (0 if rep.hji_certified else 1)
+        assert out == formats.dumps(formats.report_document(rep))
 
 
 class TestCensus:

@@ -36,7 +36,15 @@ from bmwgroups.randmodel import (
 )
 from bmwgroups.rng import RngState
 
-from .oracles import scalar_mc_values, white_ball_exists_by_bfs
+from .oracles import (
+    match_statistic_by_pairings,
+    midpoint_by_pairings,
+    overlapping_matches_by_scan,
+    scalar_mc_values,
+    structure_set_by_squares,
+    triple_matchings_by_scan,
+    white_ball_exists_by_bfs,
+)
 
 
 def cyc(n, *cycles):
@@ -224,6 +232,47 @@ class TestMatchGraph:
                 *(conj * e * conj.inverse() for e in tup.entries)
             )
             assert match_statistic(conjugated) == match_statistic(tup)
+
+
+class TestCoincidenceTable:
+    """Every coincidence read of the match graph against the point scans."""
+
+    @staticmethod
+    def _tuples():
+        for m, n in ((1, 2), (2, 4), (3, 4), (4, 4), (3, 6)):
+            yield from enumerate_tuples(m, n)
+        root = RngState(4242)
+        for m, n in ((6, 8), (8, 12), (6, 200)):
+            for t in range(300):
+                yield sample_tuple(m, n, root.derive(t))
+
+    @staticmethod
+    def _outcome(fn, tup):
+        try:
+            return fn(tup)
+        except (ArityError, TripleMatchingError) as exc:
+            return type(exc), getattr(exc, "witness", None)
+
+    def test_matches_point_scan_oracles(self):
+        seen = {"tuples": 0, "triple": 0, "overlap": 0, "midpoint_fails": 0}
+        for tup in self._tuples():
+            seen["tuples"] += 1
+            triple = triple_matchings(tup)
+            assert triple == triple_matchings_by_scan(tup)
+            overlap = overlapping_matches(tup)
+            assert overlap == overlapping_matches_by_scan(tup)
+            assert match_statistic(tup) == match_statistic_by_pairings(tup)
+            mid = self._outcome(midpoint_property, tup)
+            assert mid == self._outcome(midpoint_by_pairings, tup)
+            assert self._outcome(structure_set_from_tuple, tup) == self._outcome(
+                structure_set_by_squares, tup
+            )
+            seen["triple"] += triple is not None
+            seen["overlap"] += overlap is not None
+            seen["midpoint_fails"] += getattr(mid, "holds", True) is False
+        # every branch of every comparison is exercised
+        assert seen["tuples"] == 1 + 9 + 27 + 81 + 15**3 + 900
+        assert min(seen.values()) > 0
 
 
 def _random_perm(degree, rng):
