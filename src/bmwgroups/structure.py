@@ -15,6 +15,14 @@ a derived view.  The opposite-corner pairing is forced by the square: the
 partner of ``(a_i, b_k)`` inside ``{a_i, b_k, a_j, b_l}`` is (other a-label,
 other b-label), including the degenerate cases with repeated labels.
 
+The census counts structure sets without listing them.  The count is a
+memoized dynamic program over the bitmask of covered cells: the lowest free
+cell picks the square covering it, as in :func:`iter_structure_sets`.  The
+number of relabeling classes comes from Burnside's lemma: the same DP counts
+the sets fixed by one relabeling of each pair of cycle types, placing whole
+orbits of squares at a time, and the weighted mean of those counts over
+Sym(m) x Sym(n) is the number of orbits.
+
 All objects are immutable after construction.  Census-style operations carry
 hard guards and raise :class:`ResourceError` beyond them; they never truncate
 silently.
@@ -570,6 +578,15 @@ def complex_summary(s: StructureSet) -> ComplexSummary:
 # -- census ------------------------------------------------------------------------------------
 
 
+def _census_degrees(m: int, n: int, guard: int) -> tuple[int, int]:
+    m, n = int(m), int(n)
+    if m < 1 or n < 1:
+        raise DegreeError("m and n must be positive")
+    if m * n > guard:
+        raise ResourceError(f"census guarded at m*n <= {guard}, got {m * n}")
+    return m, n
+
+
 def iter_structure_sets(m: int, n: int, guard: int = DEFAULT_CENSUS_GUARD) -> Iterator[StructureSet]:
     """Exhaustively enumerate all ``(m, n)``-structure sets.
 
@@ -577,11 +594,7 @@ def iter_structure_sets(m: int, n: int, guard: int = DEFAULT_CENSUS_GUARD) -> It
     square covering it, which is determined by the choice of its opposite
     corner.  Each structure set is produced exactly once.
     """
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise DegreeError("m and n must be positive")
-    if m * n > guard:
-        raise ResourceError(f"census guarded at m*n <= {guard}, got {m * n}")
+    m, n = _census_degrees(m, n, guard)
     table: dict[tuple[int, int], tuple[int, int]] = {}
     order = [(i, k) for i in range(1, m + 1) for k in range(1, n + 1)]
 
@@ -608,39 +621,118 @@ def iter_structure_sets(m: int, n: int, guard: int = DEFAULT_CENSUS_GUARD) -> It
     return rec(0)
 
 
+def _fixed_count(m: int, n: int, mu: Sequence[int], nu: Sequence[int]) -> int:
+    """Number of ``(m, n)``-structure sets fixed by the relabeling ``(mu, nu)``.
+
+    ``mu`` and ``nu`` are 0-based image lists.  A square is the cell set
+    ``{i, j} x {k, l}``, so a relabeling maps squares to squares and fixes a
+    structure set exactly when it permutes the set's squares.  Cell ``(i, k)``
+    (0-based) is bit ``i * n + k`` of the covered mask.  As in
+    :func:`iter_structure_sets`, the lowest free cell picks its opposite
+    corner; a fixed set holds the whole ``<(mu, nu)>``-orbit of that square,
+    so the orbit is placed at once.  It is a legal move only when its
+    distinct squares are pairwise cell-disjoint and cover no cell below the
+    free one, all of which are covered by then.  The count of completions
+    depends only on the mask, which keys the memo.
+    """
+    size = m * n
+
+    def cells(a1: int, a2: int, b1: int, b2: int) -> int:
+        row1, row2 = a1 * n, a2 * n
+        return (1 << row1 + b1) | (1 << row1 + b2) | (1 << row2 + b1) | (1 << row2 + b2)
+
+    # moves[c]: the cell mask of every legal orbit whose lowest cell is c
+    moves: list[list[int]] = []
+    for c in range(size):
+        below = (1 << c) - 1
+        i, k = divmod(c, n)
+        at_c = []
+        for j in range(m):
+            for l in range(n):
+                a1, a2, b1, b2 = i, j, k, l
+                first = square = cells(a1, a2, b1, b2)
+                orbit = 0
+                while not square & (orbit | below):
+                    orbit |= square
+                    a1, a2, b1, b2 = mu[a1], mu[a2], nu[b1], nu[b2]
+                    square = cells(a1, a2, b1, b2)
+                    if square == first:
+                        at_c.append(orbit)
+                        break
+        moves.append(at_c)
+
+    memo = {(1 << size) - 1: 1}
+
+    def completions(mask: int) -> int:
+        got = memo.get(mask)
+        if got is None:
+            c = (~mask & (mask + 1)).bit_length() - 1
+            got = sum(completions(mask | orbit) for orbit in moves[c] if not orbit & mask)
+            memo[mask] = got
+        return got
+
+    return completions(0)
+
+
+def _partitions(k: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of ``k`` into parts ``<= largest``, parts non-increasing."""
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - part, part):
+            yield (part,) + rest
+
+
+def _cycle_types(k: int) -> Iterator[tuple[list[int], int]]:
+    """One permutation (0-based images) per cycle type of Sym(k), with its class size.
+
+    The class of cycle type ``lambda`` has ``k! / z_lambda`` elements, where
+    ``z_lambda = prod_i i^(a_i) a_i!`` and ``a_i`` counts the parts equal to ``i``.
+    """
+    for parts in _partitions(k, k):
+        images: list[int] = []
+        for part in parts:
+            start = len(images)
+            images += [*range(start + 1, start + part), start]
+        z = math.prod(
+            length ** parts.count(length) * math.factorial(parts.count(length))
+            for length in set(parts)
+        )
+        yield images, math.factorial(k) // z
+
+
 def enumerate_structure_sets(m: int, n: int, guard: int = DEFAULT_CENSUS_GUARD) -> int:
-    """Number of ``(m, n)``-structure sets (exhaustive count)."""
-    return sum(1 for _ in iter_structure_sets(m, n, guard=guard))
+    """Number of ``(m, n)``-structure sets, counted without listing them.
+
+    The memoized covered-cell DP of :func:`_fixed_count` at the identity
+    relabeling.
+    """
+    m, n = _census_degrees(m, n, guard)
+    return _fixed_count(m, n, list(range(m)), list(range(n)))
 
 
 def count_up_to_relabeling(m: int, n: int, guard: int = DEFAULT_CENSUS_GUARD) -> int:
     """Number of relabeling classes of ``(m, n)``-structure sets.
 
-    Enumerates the census and partitions it into orbits under adjacent-label
-    transpositions on both sides, which generate the full relabeling group.
+    Burnside's lemma (Cauchy-Frobenius): the number of orbits of
+    Sym(m) x Sym(n) is the mean number of fixed sets,
+    ``sum Fix(g_lambda, g_rho) * |C_lambda| * |C_rho| / (m! n!)`` over the
+    cycle types ``lambda`` of m and ``rho`` of n, with one representative
+    ``(g_lambda, g_rho)`` per pair of conjugacy classes (fixed counts are
+    constant on them).  The sum is exact in integers; a nonzero remainder
+    means a fixed count is wrong and raises ``ArithmeticError``.
     """
-    all_sets = {s.encoding(): s for s in iter_structure_sets(m, n, guard=guard)}
-    gens: list[Relabeling] = []
-    for i in range(1, m):
-        gens.append(
-            Relabeling(Permutation.transposition(m, i, i + 1), Permutation.identity(n))
+    m, n = _census_degrees(m, n, guard)
+    total = 0
+    for mu, mu_class in _cycle_types(m):
+        for nu, nu_class in _cycle_types(n):
+            total += _fixed_count(m, n, mu, nu) * mu_class * nu_class
+    group_order = math.factorial(m) * math.factorial(n)
+    classes, remainder = divmod(total, group_order)
+    if remainder:
+        raise ArithmeticError(
+            f"Burnside sum {total} at (m, n) = ({m}, {n})"
+            f" is not a multiple of m! n! = {group_order}"
         )
-    for k in range(1, n):
-        gens.append(
-            Relabeling(Permutation.identity(m), Permutation.transposition(n, k, k + 1))
-        )
-    unseen = set(all_sets)
-    classes = 0
-    while unseen:
-        classes += 1
-        seed = unseen.pop()
-        stack = [all_sets[seed]]
-        while stack:
-            cur = stack.pop()
-            for r in gens:
-                img = relabel(cur, r)
-                key = img.encoding()
-                if key in unseen:
-                    unseen.remove(key)
-                    stack.append(img)
     return classes

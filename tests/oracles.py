@@ -7,7 +7,8 @@ chains, partition scans instead of union-find block refinement, per-vertex
 breadth-first searches instead of the contaminated-set computation,
 coincidence scans of image arrays instead of local-action groups or the
 match graph, one scalar tuple at a time instead of batched image-array
-statistics.
+statistics, listed structure sets and a relabeling-orbit search instead of
+the census DP and Burnside's lemma.
 """
 
 from __future__ import annotations
@@ -25,7 +26,15 @@ from bmwgroups.randmodel import (
     TripleWitness,
     sample_tuple,
 )
-from bmwgroups.structure import Square, validate
+from bmwgroups.perm import Permutation
+from bmwgroups.structure import (
+    DEFAULT_CENSUS_GUARD,
+    Relabeling,
+    Square,
+    iter_structure_sets,
+    relabel,
+    validate,
+)
 
 
 def fpf_involutions_by_filter(n):
@@ -174,6 +183,44 @@ def structure_set_tables_by_filter(m, n):
         if ok:
             out.append(table)
     return out
+
+
+def census_count_by_enumeration(m, n, guard=DEFAULT_CENSUS_GUARD):
+    """Number of (m, n)-structure sets, by listing every one of them."""
+    return sum(1 for _ in iter_structure_sets(m, n, guard=guard))
+
+
+def census_classes_by_orbit_bfs(m, n, guard=DEFAULT_CENSUS_GUARD):
+    """Number of relabeling classes of (m, n)-structure sets.
+
+    Enumerates the census and partitions it into orbits under adjacent-label
+    transpositions on both sides, which generate the full relabeling group.
+    """
+    all_sets = {s.encoding(): s for s in iter_structure_sets(m, n, guard=guard)}
+    gens: list[Relabeling] = []
+    for i in range(1, m):
+        gens.append(
+            Relabeling(Permutation.transposition(m, i, i + 1), Permutation.identity(n))
+        )
+    for k in range(1, n):
+        gens.append(
+            Relabeling(Permutation.identity(m), Permutation.transposition(n, k, k + 1))
+        )
+    unseen = set(all_sets)
+    classes = 0
+    while unseen:
+        classes += 1
+        seed = unseen.pop()
+        stack = [all_sets[seed]]
+        while stack:
+            cur = stack.pop()
+            for r in gens:
+                img = relabel(cur, r)
+                key = img.encoding()
+                if key in unseen:
+                    unseen.remove(key)
+                    stack.append(img)
+    return classes
 
 
 def shared_orbit_graph_connected(images):

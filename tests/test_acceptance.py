@@ -204,6 +204,11 @@ def test_08_census():
         ok = ok and enumerate_structure_sets(1, n) == count_involutions(n)
     ok = ok and enumerate_structure_sets(2, 2) == 8
     ok = ok and count_up_to_relabeling(2, 2) == 6
+    # (3, 5) was cross-checked by listing every set and an orbit search
+    ok = ok and enumerate_structure_sets(3, 4) == 8452
+    ok = ok and count_up_to_relabeling(3, 4) == 164
+    ok = ok and enumerate_structure_sets(3, 5) == 186_944
+    ok = ok and count_up_to_relabeling(3, 5) == 604
     for (m, n) in ((1, 1), (1, 5), (2, 2), (2, 3), (3, 3)):
         ok = ok and enumerate_structure_sets(m, n) <= (m * n) ** (m * n)
     elapsed = time.perf_counter() - start

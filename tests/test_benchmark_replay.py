@@ -1,10 +1,13 @@
-"""Tier-1 smoke of the benchmark's stage-by-stage certify replay.
+"""Tier-1 smoke of the benchmark's replays: stage-by-stage certify and census.
 
 ``perfbench/workloads.py`` rebuilds each ``irr_certificate`` report from the
-public functions it is made of, one call at a time.  A change to any of them
-that breaks the decomposition fails here instead of in a benchmark run.
+public functions it is made of, one call at a time, and the census document
+from the two census counts.  A change to any of them that breaks the
+decomposition fails here instead of in a benchmark run.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,15 @@ def test_certificate_stages_rebuild_the_report(workloads):
             built += 1
             assert [g.images for g in b_gens] == [e.images for e in tup.entries]
     assert built > 0
+
+
+def test_census_op_checks_replays_and_matches_golden(workloads):
+    module, tracer = workloads
+    exact = module.Exact(0, "full")
+    ops = dict(exact.ops())
+    out = ops["census"](tracer(False))
+    assert exact.check("census", out) == []
+    assert exact.replay("census", out, tracer(False)) == []
+    golden = json.loads((PERFBENCH / "golden.json").read_text())
+    digest = hashlib.sha256(out.docs["doc"].encode()).hexdigest()
+    assert digest == golden["full"]["exact"]["census.doc"]

@@ -241,6 +241,15 @@ class TestCensus:
         doc = json.loads(out)
         assert doc["structure_sets"] == 8 and code == 0
 
+    def test_four_by_four_classes_json(self, capsys):
+        code, out, _err = run(
+            capsys, "census", "--m", "4", "--n", "4", "--up-to-relabeling", "--format", "json"
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["structure_sets"] == 444508
+        assert doc["relabeling_classes"] == 1622
+
     def test_guard_exit_three(self, capsys):
         code, _out, err = run(capsys, "census", "--m", "5", "--n", "5")
         assert code == 3 and "guard" in err.lower()

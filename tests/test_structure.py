@@ -5,6 +5,7 @@ import pytest
 
 from bmwgroups.errors import (
     ConflictingPairError,
+    DegreeError,
     DoublyCoveredPairError,
     IndexOutOfRangeError,
     ResourceError,
@@ -32,7 +33,19 @@ from bmwgroups.structure import (
     validate,
 )
 
-from .oracles import structure_set_tables_by_filter
+from bmwgroups import structure
+
+from .oracles import (
+    census_classes_by_orbit_bfs,
+    census_count_by_enumeration,
+    structure_set_tables_by_filter,
+)
+
+# Every (m, n) with m * n <= 10, plus (3, 4) and (4, 3): small enough for
+# the listing oracles.
+ORACLE_CENSUS_DEGREES = [
+    (m, n) for m in range(1, 11) for n in range(1, 11) if m * n <= 10
+] + [(3, 4), (4, 3)]
 
 
 def random_relabeling(m, n, rng):
@@ -309,6 +322,47 @@ class TestCensus:
     def test_guard(self):
         with pytest.raises(ResourceError):
             enumerate_structure_sets(3, 6)
+
+    @pytest.mark.parametrize("m,n", ORACLE_CENSUS_DEGREES)
+    def test_counts_match_listing_oracles(self, m, n):
+        assert enumerate_structure_sets(m, n) == census_count_by_enumeration(m, n)
+        assert count_up_to_relabeling(m, n) == census_classes_by_orbit_bfs(m, n)
+
+    def test_transpose_symmetry(self):
+        # the DP scans cells row-major, so (m, n) and (n, m) take different paths
+        for m in range(1, 13):
+            for n in range(m + 1, 13):
+                if m * n <= 12:
+                    assert enumerate_structure_sets(m, n) == enumerate_structure_sets(n, m)
+                    assert count_up_to_relabeling(m, n) == count_up_to_relabeling(n, m)
+
+    def test_one_row_classes_closed_form(self):
+        # a class of one-row sets is fixed by its number of 2-cycles: 0..n // 2
+        for n in range(1, 13):
+            assert count_up_to_relabeling(1, n) == n // 2 + 1
+
+    def test_burnside_remainder_raises(self, monkeypatch):
+        fixed_count = structure._fixed_count
+
+        def off_by_one(m, n, mu, nu):
+            identity = list(mu) == list(range(m)) and list(nu) == list(range(n))
+            return fixed_count(m, n, mu, nu) + (0 if identity else 1)
+
+        monkeypatch.setattr(structure, "_fixed_count", off_by_one)
+        assert enumerate_structure_sets(2, 3) == 38
+        with pytest.raises(ArithmeticError):
+            count_up_to_relabeling(2, 3)
+
+    def test_guard_and_degree_checks_precede_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("census ran past its argument checks")
+
+        monkeypatch.setattr(structure, "_fixed_count", refuse)
+        for census in (enumerate_structure_sets, count_up_to_relabeling):
+            with pytest.raises(ResourceError, match=r"census guarded at m\*n <= 16, got 25"):
+                census(5, 5)
+            with pytest.raises(DegreeError):
+                census(0, 3)
 
     def test_enumeration_yields_valid_distinct_sets(self):
         seen = set()
