@@ -121,12 +121,8 @@ def tuple_from_document(doc: dict) -> InvolutionTuple:
 def structure_set_document(
     s: StructureSet, families: Optional[dict] = None, seed: Optional[int] = None
 ) -> dict:
-    doc = {
-        "schema": SCHEMA_STRUCTURE_SET,
-        "m": s.m,
-        "n": s.n,
-        "squares": [list(sq) for sq in s.to_squares()],
-    }
+    doc = s.to_dict()
+    doc["schema"] = SCHEMA_STRUCTURE_SET
     if families is not None:
         doc["families"] = {
             fam: [list(sq) for sq in sqs] for fam, sqs in sorted(families.items())

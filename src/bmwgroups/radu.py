@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import ConflictingPairError, RangeError
+from .errors import ConflictingPairError, DoublyCoveredPairError, RangeError
 from .perm import Permutation
 from .permgroup import SchreierAnalysis, schreier_analysis
 from .rng import RngState
@@ -122,20 +122,16 @@ class S0Blueprint:
         return {fam: tuple(sorted(sqs)) for fam, sqs in out.items()}
 
     def partial_set(self) -> PartialStructureSet:
-        cells: dict = {}
-        tag_of: dict = {}
-        from .structure import _square_assignments
-
-        for sq, fam in self.tagged:
-            assignments = _square_assignments(sq)
-            if all(cells.get(c) == p for c, p in assignments):
-                continue
-            for cell, partner in assignments:
-                if cell in cells:
-                    raise ConflictingPairError(cell, tags=(tag_of[cell], fam))
-                cells[cell] = partner
-                tag_of[cell] = fam
-        return PartialStructureSet(self.m, self.n, cells, _trusted=True)
+        """All squares placed at once; a clash names the two squares' families."""
+        try:
+            return PartialStructureSet.from_squares(self.m, self.n, [sq for sq, _ in self.tagged])
+        except DoublyCoveredPairError as err:
+            # The first square through the pair placed it; the first later one
+            # through it that is a different square is the clash.
+            (first, family), *later = [t for t in self.tagged if err.pair in t.square.cells()]
+            first = Square.canonical(*first)
+            clash = next(fam for sq, fam in later if Square.canonical(*sq) != first)
+            raise ConflictingPairError(err.pair, tags=(family, clash)) from None
 
 
 def blueprint(m: int, n: int) -> S0Blueprint:
@@ -248,12 +244,7 @@ def extension(
                     raise RangeError(
                         f"filler involution moves {p} outside the free columns"
                     )
-            done = set()
-            for k in cols:
-                if k not in done:
-                    l = sigma(k)
-                    done.update((k, l))
-                    squares.append(Square.canonical(row, k, row, l))
+            squares += [Square(row, k, row, sigma(k)) for k in cols if k <= sigma(k)]
         base = base.merge(PartialStructureSet.from_squares(m, n, squares))
     return base.complete_with_diagonal()
 

@@ -11,9 +11,10 @@ The match graph (:class:`MatchGraph`) is the tuple's single coincidence
 table: one pass maps each point pair ``k < l`` to the coordinates mapping
 ``k`` to ``l`` (at most two of them span one square of the structure set).
 The triple and overlap witnesses, the midpoint check, the shared-orbit
-statistic, black/white edges, connectivity, white balls and the structure
-set are all read from it.  The batched Monte-Carlo statistics compute the
-same coincidences over whole ``(B, m, n)`` image arrays.
+statistic, black/white edges, connectivity and white balls are read from it.
+A derived structure set's b-parts are the tuple's ``(m, n)`` image array, and
+its a-parts differ from the row's own coordinate only on black edges.  The
+batched Monte-Carlo statistics compute the coincidences over ``(B, m, n)``.
 
 Certificates (names used in reports):
 
@@ -175,22 +176,26 @@ class MatchGraph:
     are exactly those of one edge at it.
     """
 
-    __slots__ = ("m", "n", "edge_coords", "_adj")
+    __slots__ = ("m", "n", "edge_coords", "_images", "_adj")
 
     def __init__(self, m: int, n: int, edge_coords: dict):
         self.m = m
         self.n = n
         self.edge_coords = edge_coords
+        self._images: Optional[list] = None
         self._adj: Optional[dict] = None
 
     @classmethod
     def from_tuple(cls, t: InvolutionTuple) -> "MatchGraph":
         edge_coords: dict[tuple[int, int], tuple[int, ...]] = {}
-        for idx, entry in enumerate(t.entries, 1):
-            for k, l in enumerate(entry.images, 1):
+        images = [entry.images for entry in t.entries]
+        for idx, row in enumerate(images, 1):
+            for k, l in enumerate(row, 1):
                 if k < l:
                     edge_coords[(k, l)] = edge_coords.get((k, l), ()) + (idx,)
-        return cls(t.m, t.n, edge_coords)
+        graph = cls(t.m, t.n, edge_coords)
+        graph._images = images
+        return graph
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edge_coords))
@@ -266,18 +271,20 @@ class MatchGraph:
 
         Each edge ``{k < l}`` spans one square: cell ``(c, k)`` is paired with
         ``(c', l)``, c' being the edge's other coordinate, or c on a white
-        edge.  An edge with three coordinates raises TripleMatchingError.
+        edge.  The b-parts are thus the tuple's image array, and the a-parts
+        of row c are c except on black edges.  An edge with three coordinates
+        raises TripleMatchingError.  Needs a graph built by :meth:`from_tuple`.
         """
-        n = self.n
-        pairs: list = [None] * (self.m * n)
-        for (k, l), cs in self.edge_coords.items():
-            if len(cs) >= 3:
-                raise TripleMatchingError(self.triple_witness())
-            for c in cs:
-                other = cs[-1] if c == cs[0] else cs[0]
-                pairs[(c - 1) * n + k - 1] = (other, l)
-                pairs[(c - 1) * n + l - 1] = (other, k)
-        return StructureSet(self.m, n, pairs)
+        if self._images is None:
+            raise UsageError("the structure set needs a graph built by MatchGraph.from_tuple")
+        black = [(edge, cs) for edge, cs in self.edge_coords.items() if len(cs) >= 2]
+        if any(len(cs) >= 3 for _, cs in black):
+            raise TripleMatchingError(self.triple_witness())
+        a_part = np.repeat(np.arange(1, self.m + 1)[:, None], self.n, axis=1)
+        for (k, l), (c, c2) in black:
+            a_part[c - 1, [k - 1, l - 1]] = c2
+            a_part[c2 - 1, [k - 1, l - 1]] = c
+        return StructureSet(self.m, self.n, np.stack([a_part, np.array(self._images)], axis=-1))
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         if self._adj is None:

@@ -8,12 +8,15 @@ set presents a group acting simply transitively on the vertices of a product
 of two regular trees, and relabeling orbits correspond to those groups up to
 conjugacy.
 
-Internally a structure set is stored as the total grid involution
-``f(i, k) = (j, l)`` pairing opposite corners of the square through ``(i,
-k)``.  Uniqueness and exact cover are then structural, and the square list is
-a derived view.  The opposite-corner pairing is forced by the square: the
+A structure set is stored as its total grid involution ``f(i, k) = (j, l)``
+pairing opposite corners of the square through ``(i, k)``: a read-only
+``(m, n, 2)`` integer array holding the 1-based partner of each cell.
+Uniqueness and exact cover are then structural, and the square list is a
+derived view.  The opposite-corner pairing is forced by the square: the
 partner of ``(a_i, b_k)`` inside ``{a_i, b_k, a_j, b_l}`` is (other a-label,
-other b-label), including the degenerate cases with repeated labels.
+other b-label), including the degenerate cases with repeated labels.  A
+partial structure set has the same array with ``(0, 0)`` on its free cells;
+local involutions, relabeling and transposition are slices and indexing.
 
 The census counts structure sets without listing them.  The count is a
 memoized dynamic program over the bitmask of covered cells: the lowest free
@@ -38,6 +41,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     ConflictingPairError,
@@ -87,123 +92,171 @@ class Relabeling(NamedTuple):
     nu: Permutation  # acts on b-labels, degree n
 
 
-def _square_assignments(square: Square):
-    """(cell, partner) assignments forced by the opposite-corner rule."""
-    i, k, j, l = square
-    raw = (
-        ((i, k), (j, l)),
-        ((i, l), (j, k)),
-        ((j, k), (i, l)),
-        ((j, l), (i, k)),
-    )
-    seen = set()
-    out = []
-    for cell, partner in raw:
-        if cell not in seen:
-            seen.add(cell)
-            out.append((cell, partner))
-    return out
+# -- partner arrays ------------------------------------------------------------------
+
+
+def _degrees(m: int, n: int) -> tuple[int, int]:
+    m, n = int(m), int(n)
+    if m < 1 or n < 1:
+        raise DegreeError("m and n must be positive")
+    return m, n
+
+
+def _grid(m: int, n: int) -> np.ndarray:
+    """The ``(m, n, 2)`` array holding each cell's own coordinates ``(i, k)``."""
+    rows, cols = np.meshgrid(np.arange(1, m + 1), np.arange(1, n + 1), indexing="ij")
+    return np.stack([rows, cols], axis=-1)
+
+
+def _first_cell(mask: np.ndarray) -> tuple[int, int]:
+    """The first set cell of an ``(m, n)`` mask in row-major order, 1-based."""
+    i, k = divmod(int(mask.argmax()), mask.shape[1])
+    return i + 1, k + 1
+
+
+def _frozen(cls, table: np.ndarray):
+    """An instance of ``cls`` holding ``table`` read-only, unchecked."""
+    obj = object.__new__(cls)
+    obj.m, obj.n = table.shape[:2]
+    table.flags.writeable = False
+    obj._partners = table
+    return obj
+
+
+def _check_laws(table: np.ndarray, defined: Optional[np.ndarray] = None) -> None:
+    """Raise at the first faulty cell, in row-major order, of a partner table.
+
+    A cell is faulty when its partner ``(j, l)`` is out of range, is not
+    paired back with it, or breaks the square-swap law ``f(i, l) = (j, k)``;
+    the first of these that fails is reported.  ``defined`` restricts the
+    checks to the cells of a partial table (its free cells hold 0) and
+    selects the partial-table messages.
+    """
+    m, n = table.shape[:2]
+    (j, l), (i, k) = np.moveaxis(table, -1, 0), np.moveaxis(_grid(m, n), -1, 0)
+    a_ok = (1 <= j) & (j <= m)
+    in_range = a_ok & (1 <= l) & (l <= n)
+    l0 = np.where(in_range, l - 1, 0)
+    back, swap = table[np.where(in_range, j - 1, 0), l0], table[i - 1, l0]
+    involutive = (back[..., 0] == i) & (back[..., 1] == k)
+    swapped = (swap[..., 0] == j) & (swap[..., 1] == k)
+    faulty = ~(in_range & involutive & swapped) & (True if defined is None else defined)
+    if not faulty.any():
+        return
+    r, c = _first_cell(faulty)
+    at, what = f"({r},{c})", "partner" if defined is None else "partial"
+    if not in_range[r - 1, c - 1]:
+        side = "b" if a_ok[r - 1, c - 1] else "a"
+        partial_msg = f"{side}-index out of range at {at}"
+        raise IndexOutOfRangeError(f"partner of {at} out of range" if defined is None else partial_msg)
+    if not involutive[r - 1, c - 1]:
+        raise DegreeError(f"{what} table is not an involution")
+    raise DegreeError(f"{what} table violates the square-swap law")
+
+
+def _place(m: int, n: int, squares: Iterable[Sequence[int]], partial: bool) -> np.ndarray:
+    """The partner table (0 on free cells) covered by ``squares``, in order.
+
+    Square ``{i, j} x {k, l}`` pairs ``(i, k)`` with ``(j, l)`` and ``(i, l)``
+    with ``(j, k)``.  A square meeting a covered cell raises
+    :class:`DoublyCoveredPairError` at the first such corner, unless the table
+    is ``partial`` and the same square is already there.  ``partial`` also
+    selects the partial-set message for a square out of range.
+    """
+    m, n = _degrees(m, n)
+    a_part, b_part = [0] * (m * n), [0] * (m * n)  # row-major partner halves
+    for raw in squares:
+        i, k, j, l = (int(v) for v in raw)
+        a_ok, b_ok = 1 <= i <= m and 1 <= j <= m, 1 <= k <= n and 1 <= l <= n
+        if partial and not (a_ok and b_ok):
+            raise IndexOutOfRangeError(f"square {tuple(raw)} out of range")
+        if not a_ok:
+            raise IndexOutOfRangeError(f"a-index of {tuple(raw)} outside 1..{m}")
+        if not b_ok:
+            raise IndexOutOfRangeError(f"b-index of {tuple(raw)} outside 1..{n}")
+        i, k, j, l = Square.canonical(i, k, j, l)
+        corners = ((i, k, j, l), (i, l, j, k), (j, k, i, l), (j, l, i, k))
+        cells = [(x - 1) * n + y - 1 for x, y, _, _ in corners]
+        covered = [c for c in cells if a_part[c]]
+        if covered:
+            held = [(a_part[c], b_part[c]) for c in cells]
+            if partial and held == [(x, y) for _, _, x, y in corners]:
+                continue
+            row, col = divmod(covered[0], n)
+            raise DoublyCoveredPairError((row + 1, col + 1))
+        for c, (_, _, x, y) in zip(cells, corners):
+            a_part[c], b_part[c] = x, y
+    return np.stack([a_part, b_part], axis=-1).reshape(m, n, 2)
+
+
+def _squares(table: np.ndarray) -> tuple[Square, ...]:
+    """The canonical squares through the covered cells, sorted."""
+    covered = table[..., 0] > 0
+    here, there = _grid(*table.shape[:2])[covered], table[covered]
+    corners = np.concatenate([np.minimum(here, there), np.maximum(here, there)], axis=1)
+    return tuple(Square(*sq) for sq in np.unique(corners, axis=0).tolist())
 
 
 class StructureSet:
-    """A validated ``(m, n)``-structure set, stored as its grid involution."""
+    """A validated ``(m, n)``-structure set, stored as its grid involution.
 
-    __slots__ = ("m", "n", "_pairs")
+    ``pairs`` lists the partner ``(j, l)`` of every cell in row-major order.
+    """
 
-    def __init__(self, m: int, n: int, pairs: Sequence[tuple[int, int]], _trusted=False):
-        self.m = int(m)
-        self.n = int(n)
-        if self.m < 1 or self.n < 1:
-            raise DegreeError("m and n must be positive")
-        pairs = tuple((int(j), int(l)) for j, l in pairs)
-        if len(pairs) != self.m * self.n:
+    __slots__ = ("m", "n", "_partners")
+
+    def __init__(self, m: int, n: int, pairs: Sequence[tuple[int, int]]):
+        self.m, self.n = _degrees(m, n)
+        table = np.array(pairs, dtype=np.int64)
+        if table.size != 2 * self.m * self.n or table.shape[-1:] != (2,):
             raise DegreeError("partner table has the wrong size")
-        self._pairs = pairs
-        if not _trusted:
-            self._check_invariants()
-
-    def _check_invariants(self):
-        m, n = self.m, self.n
-        for i in range(1, m + 1):
-            for k in range(1, n + 1):
-                j, l = self.partner(i, k)
-                if not (1 <= j <= m and 1 <= l <= n):
-                    raise IndexOutOfRangeError(f"partner of ({i},{k}) out of range")
-                if self.partner(j, l) != (i, k):
-                    raise DegreeError("partner table is not an involution")
-                if self.partner(i, l) != (j, k):
-                    raise DegreeError("partner table violates the square-swap law")
-
-    # -- queries ---------------------------------------------------------------
+        table = table.reshape(self.m, self.n, 2)
+        _check_laws(table)
+        table.flags.writeable = False
+        self._partners = table
 
     def partner(self, i: int, k: int) -> tuple[int, int]:
         """The opposite corner ``f(i, k)`` of the square through ``(i, k)``."""
-        return self._pairs[(i - 1) * self.n + (k - 1)]
+        return tuple(self._partners[i - 1, k - 1].tolist())
 
     def encoding(self) -> tuple:
         """Flat row-major partner table; injective on structure sets."""
-        return self._pairs
+        return tuple(map(tuple, self._partners.reshape(-1, 2).tolist()))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, StructureSet)
-            and (self.m, self.n, self._pairs) == (other.m, other.n, other._pairs)
-        )
+        return isinstance(other, StructureSet) and np.array_equal(self._partners, other._partners)
 
     def __hash__(self):
-        return hash((self.m, self.n, self._pairs))
+        return hash((self.m, self.n, self._partners.tobytes()))
 
     def __repr__(self):
         return f"StructureSet(m={self.m}, n={self.n}, squares={len(self.to_squares())})"
 
     def to_squares(self) -> tuple[Square, ...]:
         """The squares, canonically ordered and sorted lexicographically."""
-        out = set()
-        for i in range(1, self.m + 1):
-            for k in range(1, self.n + 1):
-                j, l = self.partner(i, k)
-                out.add(Square.canonical(i, k, j, l))
-        return tuple(sorted(out))
+        return _squares(self._partners)
 
     def local_involutions(self, side: str) -> tuple[Permutation, ...]:
         """The local involutions read off the grid involution.
 
         Side "B" returns one permutation of ``{1..n}`` per a-label
-        (``alpha_i(k)`` = b-part of the partner of ``(i, k)``); side "A"
-        returns one permutation of ``{1..m}`` per b-label.  All returned
-        permutations are involutions, possibly with fixed points.
+        (``alpha_i(k)`` = b-part of the partner of ``(i, k)``: row ``i`` of
+        the b-parts); side "A" returns one permutation of ``{1..m}`` per
+        b-label (column ``k`` of the a-parts).  All returned permutations are
+        involutions, possibly with fixed points.
         """
         if side == "B":
-            return tuple(
-                Permutation([self.partner(i, k)[1] for k in range(1, self.n + 1)])
-                for i in range(1, self.m + 1)
-            )
+            return tuple(Permutation(row) for row in self._partners[..., 1].tolist())
         if side == "A":
-            return tuple(
-                Permutation([self.partner(i, k)[0] for i in range(1, self.m + 1)])
-                for k in range(1, self.n + 1)
-            )
+            return tuple(Permutation(col) for col in self._partners[..., 0].T.tolist())
         raise ValueError("side must be 'A' or 'B'")
 
     def transpose(self) -> "StructureSet":
-        """Swap the roles of the two sides."""
-        pairs = [(0, 0)] * (self.m * self.n)
-        for i in range(1, self.m + 1):
-            for k in range(1, self.n + 1):
-                j, l = self.partner(i, k)
-                pairs[(k - 1) * self.m + (i - 1)] = (l, j)
-        return StructureSet(self.n, self.m, pairs, _trusted=True)
+        """Swap the roles of the two sides: ``f'(k, i) = (l, j)``."""
+        return _frozen(StructureSet, self._partners[..., ::-1].transpose(1, 0, 2).copy())
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "squares": [list(sq) for sq in self.to_squares()],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "StructureSet":
-        return validate(doc["m"], doc["n"], [Square(*sq) for sq in doc["squares"]])
+        return {"m": self.m, "n": self.n, "squares": [list(sq) for sq in self.to_squares()]}
 
 
 # -- construction ------------------------------------------------------------------
@@ -212,36 +265,19 @@ class StructureSet:
 def validate(m: int, n: int, squares: Iterable[Sequence[int]]) -> StructureSet:
     """Build a structure set from squares, checking exact cover.
 
-    Raises :class:`IndexOutOfRangeError`, :class:`DoublyCoveredPairError` or
-    :class:`UncoveredPairError` as appropriate.
+    Raises :class:`IndexOutOfRangeError`, :class:`DoublyCoveredPairError` (also
+    for a square listed twice) or :class:`UncoveredPairError` as appropriate.
     """
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise DegreeError("m and n must be positive")
-    table: dict[tuple[int, int], tuple[int, int]] = {}
-    for raw in squares:
-        i, k, j, l = (int(v) for v in raw)
-        if not (1 <= i <= m and 1 <= j <= m):
-            raise IndexOutOfRangeError(f"a-index of {tuple(raw)} outside 1..{m}")
-        if not (1 <= k <= n and 1 <= l <= n):
-            raise IndexOutOfRangeError(f"b-index of {tuple(raw)} outside 1..{n}")
-        for cell, partner in _square_assignments(Square.canonical(i, k, j, l)):
-            if cell in table:
-                raise DoublyCoveredPairError(cell)
-            table[cell] = partner
-    pairs = []
-    for i in range(1, m + 1):
-        for k in range(1, n + 1):
-            if (i, k) not in table:
-                raise UncoveredPairError((i, k))
-            pairs.append(table[(i, k)])
-    return StructureSet(m, n, pairs, _trusted=True)
+    table = _place(m, n, squares, partial=False)
+    free = table[..., 0] == 0
+    if free.any():
+        raise UncoveredPairError(_first_cell(free))
+    return _frozen(StructureSet, table)
 
 
 def all_diagonal(m: int, n: int) -> StructureSet:
     """The structure set whose squares are all degenerate diagonals."""
-    pairs = [(i, k) for i in range(1, m + 1) for k in range(1, n + 1)]
-    return StructureSet(m, n, pairs, _trusted=True)
+    return _frozen(StructureSet, _grid(*_degrees(m, n)))
 
 
 # -- partial structure sets -----------------------------------------------------------
@@ -251,91 +287,68 @@ class PartialStructureSet:
     """A partial grid involution: each pair covered at most once.
 
     The defined cells are closed under the square symmetry, and the involution
-    and swap laws hold on the defined domain.
+    and swap laws hold on the defined domain.  The constructor checks a map
+    from cells to partners; free cells hold ``(0, 0)`` in the array.
     """
 
-    __slots__ = ("m", "n", "_cells")
+    __slots__ = ("m", "n", "_partners")
 
-    def __init__(self, m: int, n: int, cells: dict, _trusted=False):
-        self.m = int(m)
-        self.n = int(n)
-        if self.m < 1 or self.n < 1:
-            raise DegreeError("m and n must be positive")
-        self._cells = dict(cells)
-        if not _trusted:
-            for (i, k), (j, l) in self._cells.items():
-                if not (1 <= i <= self.m and 1 <= j <= self.m):
-                    raise IndexOutOfRangeError(f"a-index out of range at ({i},{k})")
-                if not (1 <= k <= self.n and 1 <= l <= self.n):
-                    raise IndexOutOfRangeError(f"b-index out of range at ({i},{k})")
-                if self._cells.get((j, l)) != (i, k):
-                    raise DegreeError("partial table is not an involution")
-                if self._cells.get((i, l)) != (j, k):
-                    raise DegreeError("partial table violates the square-swap law")
+    def __init__(self, m: int, n: int, cells: dict):
+        self.m, self.n = m, n = _degrees(m, n)
+        table = np.zeros((m, n, 2), dtype=np.int64)
+        defined = np.zeros((m, n), dtype=bool)
+        for (i, k), (j, l) in dict(cells).items():
+            if not (1 <= i <= m and 1 <= k <= n):
+                side = "b" if 1 <= i <= m and 1 <= j <= m else "a"
+                raise IndexOutOfRangeError(f"{side}-index out of range at ({i},{k})")
+            table[i - 1, k - 1] = j, l
+            defined[i - 1, k - 1] = True
+        _check_laws(table, defined)
+        table.flags.writeable = False
+        self._partners = table
 
     @classmethod
     def empty(cls, m: int, n: int) -> "PartialStructureSet":
-        return cls(m, n, {}, _trusted=True)
+        return cls(m, n, {})
 
     @classmethod
-    def from_squares(
-        cls, m: int, n: int, squares: Iterable[Sequence[int]]
-    ) -> "PartialStructureSet":
-        m, n = int(m), int(n)
-        cells: dict = {}
-        for raw in squares:
-            i, k, j, l = (int(v) for v in raw)
-            if not (1 <= i <= m and 1 <= j <= m and 1 <= k <= n and 1 <= l <= n):
-                raise IndexOutOfRangeError(f"square {tuple(raw)} out of range")
-            square = Square.canonical(i, k, j, l)
-            assignments = _square_assignments(square)
-            if all(cells.get(c) == p for c, p in assignments):
-                continue  # the same square listed twice is not a conflict
-            for cell, partner in assignments:
-                if cell in cells:
-                    raise DoublyCoveredPairError(cell)
-                cells[cell] = partner
-        return cls(m, n, cells, _trusted=True)
+    def from_squares(cls, m: int, n: int, squares: Iterable[Sequence[int]]) -> "PartialStructureSet":
+        """The partial set covered by ``squares``; a square listed twice is kept once."""
+        return _frozen(cls, _place(m, n, squares, partial=True))
 
     def defined_cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._cells)
+        rows, cols = np.nonzero(self._partners[..., 0])
+        return frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
     def partner(self, i: int, k: int) -> Optional[tuple[int, int]]:
-        return self._cells.get((i, k))
+        j, l = self._partners[i - 1, k - 1].tolist()
+        return (j, l) if j else None
 
     def covers(self, i: int, k: int) -> bool:
-        return (i, k) in self._cells
+        return bool(self._partners[i - 1, k - 1, 0])
 
     def __len__(self):
-        return len(self._cells)
+        return int(np.count_nonzero(self._partners[..., 0]))
 
     def to_squares(self) -> tuple[Square, ...]:
-        out = {
-            Square.canonical(i, k, j, l) for (i, k), (j, l) in self._cells.items()
-        }
-        return tuple(sorted(out))
+        return _squares(self._partners)
 
     def is_total(self) -> bool:
-        return len(self._cells) == self.m * self.n
+        return bool(self._partners[..., 0].all())
 
     def merge(self, other: "PartialStructureSet") -> "PartialStructureSet":
-        """Union of defined cells; any doubly covered pair is a conflict."""
+        """Union of defined cells; a pair defined in both is a conflict."""
         if (self.m, self.n) != (other.m, other.n):
             raise DegreeError("cannot merge partial sets of different degree")
-        cells = dict(self._cells)
-        for cell, partner in other._cells.items():
-            if cell in cells:
-                raise ConflictingPairError(cell)
-            cells[cell] = partner
-        return PartialStructureSet(self.m, self.n, cells, _trusted=True)
+        both = (self._partners[..., 0] > 0) & (other._partners[..., 0] > 0)
+        if both.any():
+            raise ConflictingPairError(_first_cell(both))
+        return _frozen(PartialStructureSet, self._partners + other._partners)
 
     def complete_with_diagonal(self) -> StructureSet:
         """Cover every free pair with its degenerate diagonal square."""
-        pairs = []
-        for i in range(1, self.m + 1):
-            for k in range(1, self.n + 1):
-                pairs.append(self._cells.get((i, k), (i, k)))
-        return StructureSet(self.m, self.n, pairs, _trusted=True)
+        partners = self._partners
+        return _frozen(StructureSet, np.where(partners > 0, partners, _grid(self.m, self.n)))
 
 
 def merge(p: PartialStructureSet, q: PartialStructureSet) -> PartialStructureSet:
@@ -354,12 +367,9 @@ def relabel(s: StructureSet, r: Relabeling) -> StructureSet:
     mu, nu = r
     if mu.degree != s.m or nu.degree != s.n:
         raise DegreeError("relabeling degree mismatch")
-    pairs = [(0, 0)] * (s.m * s.n)
-    for i in range(1, s.m + 1):
-        for k in range(1, s.n + 1):
-            j, l = s.partner(i, k)
-            pairs[(mu(i) - 1) * s.n + (nu(k) - 1)] = (mu(j), nu(l))
-    return StructureSet(s.m, s.n, pairs, _trusted=True)
+    mu_of, nu_of = np.array((0,) + mu.images), np.array((0,) + nu.images)
+    moved = np.stack([mu_of[s._partners[..., 0]], nu_of[s._partners[..., 1]]], axis=-1)
+    return _frozen(StructureSet, moved[np.ix_(np.argsort(mu_of[1:]), np.argsort(nu_of[1:]))])
 
 
 def local_involutions(s: StructureSet, side: str) -> tuple[Permutation, ...]:
@@ -403,8 +413,7 @@ def _canonical_search(s: StructureSet, node_budget: int) -> StructureSet:
     a column-transposition automorphism are explored once.
     """
     m, n = s.m, s.n
-    fa = [[s.partner(i, k)[0] for k in range(1, n + 1)] for i in range(1, m + 1)]
-    fb = [[s.partner(i, k)[1] for k in range(1, n + 1)] for i in range(1, m + 1)]
+    fa, fb = s._partners[..., 0].tolist(), s._partners[..., 1].tolist()
     col_auto = _swap_col_automorphisms(s)
     best: Optional[list[int]] = None
     nodes = 0
@@ -486,8 +495,7 @@ def _canonical_search(s: StructureSet, node_budget: int) -> StructureSet:
         extend(1, "eq")
 
     assert best is not None
-    pairs = [(best[2 * t], best[2 * t + 1]) for t in range(m * n)]
-    return StructureSet(m, n, pairs)
+    return StructureSet(m, n, np.reshape(best, (m * n, 2)))
 
 
 def canonical_form(
@@ -579,9 +587,7 @@ def complex_summary(s: StructureSet) -> ComplexSummary:
 
 
 def _census_degrees(m: int, n: int, guard: int) -> tuple[int, int]:
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise DegreeError("m and n must be positive")
+    m, n = _degrees(m, n)
     if m * n > guard:
         raise ResourceError(f"census guarded at m*n <= {guard}, got {m * n}")
     return m, n
@@ -592,31 +598,30 @@ def iter_structure_sets(m: int, n: int, guard: int = DEFAULT_CENSUS_GUARD) -> It
 
     Backtracking over cells in row-major order: the first free cell picks the
     square covering it, which is determined by the choice of its opposite
-    corner.  Each structure set is produced exactly once.
+    corner.  Each structure set is produced exactly once.  ``partner`` holds
+    the 0-based flat partner cell of each covered cell, -1 on free ones.
     """
     m, n = _census_degrees(m, n, guard)
-    table: dict[tuple[int, int], tuple[int, int]] = {}
-    order = [(i, k) for i in range(1, m + 1) for k in range(1, n + 1)]
+    size = m * n
+    partner = [-1] * size
 
-    def rec(start: int) -> Iterator[StructureSet]:
-        idx = start
-        while idx < len(order) and order[idx] in table:
-            idx += 1
-        if idx == len(order):
-            pairs = [table[cell] for cell in order]
-            yield StructureSet(m, n, pairs, _trusted=True)
+    def rec(c: int) -> Iterator[StructureSet]:
+        while c < size and partner[c] >= 0:
+            c += 1
+        if c == size:
+            flat = np.array(partner)
+            yield _frozen(StructureSet, np.stack(divmod(flat, n), axis=-1).reshape(m, n, 2) + 1)
             return
-        i, k = order[idx]
-        for j in range(1, m + 1):
-            for l in range(1, n + 1):
-                assignments = _square_assignments(Square.canonical(i, k, j, l))
-                if any(cell in table for cell, _ in assignments):
+        i, k = divmod(c, n)
+        for j in range(m):
+            for l in range(n):
+                il, jk, jl = i * n + l, j * n + k, j * n + l
+                if partner[il] >= 0 or partner[jk] >= 0 or partner[jl] >= 0:
                     continue
-                for cell, partner in assignments:
-                    table[cell] = partner
-                yield from rec(idx + 1)
-                for cell, _ in assignments:
-                    del table[cell]
+                partner[c], partner[jl] = jl, c
+                partner[il], partner[jk] = jk, il
+                yield from rec(c + 1)
+                partner[c] = partner[il] = partner[jk] = partner[jl] = -1
 
     return rec(0)
 

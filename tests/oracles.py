@@ -19,20 +19,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from bmwgroups.errors import ArityError, TripleMatchingError
+from bmwgroups.errors import (
+    ArityError,
+    DegreeError,
+    IndexOutOfRangeError,
+    TripleMatchingError,
+)
 from bmwgroups.randmodel import (
     MidpointResult,
     OverlapWitness,
     TripleWitness,
     sample_tuple,
 )
-from bmwgroups.perm import Permutation
 from bmwgroups.structure import (
     DEFAULT_CENSUS_GUARD,
-    Relabeling,
     Square,
     iter_structure_sets,
-    relabel,
     validate,
 )
 
@@ -185,6 +187,30 @@ def structure_set_tables_by_filter(m, n):
     return out
 
 
+def partner_table_fault(m, n, table, partial=False):
+    """The (error type, message) a partner table must be refused with, or None.
+
+    ``table`` maps cells to partners.  Cells are scanned in row-major order,
+    one dictionary lookup per law: the first cell whose partner is out of
+    range, is not paired back, or breaks the square-swap law decides, in that
+    order.  ``partial`` selects the partial-table messages; free cells are
+    absent from ``table``.
+    """
+    what = "partial" if partial else "partner"
+    for (i, k) in sorted(table):
+        j, l = table[(i, k)]
+        if not (1 <= j <= m and 1 <= l <= n):
+            if not partial:
+                return IndexOutOfRangeError, f"partner of ({i},{k}) out of range"
+            side = "b" if 1 <= j <= m else "a"
+            return IndexOutOfRangeError, f"{side}-index out of range at ({i},{k})"
+        if table.get((j, l)) != (i, k):
+            return DegreeError, f"{what} table is not an involution"
+        if table.get((i, l)) != (j, k):
+            return DegreeError, f"{what} table violates the square-swap law"
+    return None
+
+
 def census_count_by_enumeration(m, n, guard=DEFAULT_CENSUS_GUARD):
     """Number of (m, n)-structure sets, by listing every one of them."""
     return sum(1 for _ in iter_structure_sets(m, n, guard=guard))
@@ -195,30 +221,33 @@ def census_classes_by_orbit_bfs(m, n, guard=DEFAULT_CENSUS_GUARD):
 
     Enumerates the census and partitions it into orbits under adjacent-label
     transpositions on both sides, which generate the full relabeling group.
+    Each set is its flat row-major table of 0-based partner cells.  A
+    relabeling g moves cell c to g(c) and maps the table f to g f g^-1; the
+    generators are involutions, so the image of f at c is g(f(g(c))).
     """
-    all_sets = {s.encoding(): s for s in iter_structure_sets(m, n, guard=guard)}
-    gens: list[Relabeling] = []
-    for i in range(1, m):
-        gens.append(
-            Relabeling(Permutation.transposition(m, i, i + 1), Permutation.identity(n))
-        )
-    for k in range(1, n):
-        gens.append(
-            Relabeling(Permutation.identity(m), Permutation.transposition(n, k, k + 1))
-        )
-    unseen = set(all_sets)
+    size = m * n
+    sets = {
+        tuple((j - 1) * n + (l - 1) for j, l in s.encoding())
+        for s in iter_structure_sets(m, n, guard=guard)
+    }
+    gens = []
+    for a in range(m - 1):
+        swap = {a: a + 1, a + 1: a}
+        gens.append([swap.get(c // n, c // n) * n + c % n for c in range(size)])
+    for b in range(n - 1):
+        swap = {b: b + 1, b + 1: b}
+        gens.append([c - c % n + swap.get(c % n, c % n) for c in range(size)])
+    unseen = set(sets)
     classes = 0
     while unseen:
         classes += 1
-        seed = unseen.pop()
-        stack = [all_sets[seed]]
+        stack = [unseen.pop()]
         while stack:
-            cur = stack.pop()
-            for r in gens:
-                img = relabel(cur, r)
-                key = img.encoding()
-                if key in unseen:
-                    unseen.remove(key)
+            f = stack.pop()
+            for g in gens:
+                img = tuple(g[f[g[c]]] for c in range(size))
+                if img in unseen:
+                    unseen.remove(img)
                     stack.append(img)
     return classes
 

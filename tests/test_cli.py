@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -282,6 +283,14 @@ class TestS0:
         code2, out2, _ = run(capsys, "s0", "--m", "14", "--n", "20", "--filler-seed", "2")
         assert code1 == code2 == 0
         assert out1 != out2
+
+    def test_filler_document_bytes_pinned(self, capsys):
+        # the merge and diagonal completion of a filled free block, byte for byte
+        code, out, _ = run(capsys, "s0", "--m", "14", "--n", "16", "--filler-seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a179735a0f5c4783b59f696258267588c3904ab614780fb479c33c5dc47594b5"
+        )
 
     def test_bounds_exit_two(self, capsys):
         code, _out, _err = run(capsys, "s0", "--m", "12", "--n", "14")

@@ -164,6 +164,27 @@ class TestBasePartialSet:
             partial.merge(clash)
 
 
+class TestBlueprintConflicts:
+    def test_tagged_conflict_names_both_families(self):
+        from bmwgroups.errors import ConflictingPairError
+        from bmwgroups.radu import S0Blueprint, TaggedSquare
+
+        bp = blueprint(13, 14)
+        clash = TaggedSquare(Square(1, 1, 1, 2), "clash")
+        with pytest.raises(ConflictingPairError) as err:
+            S0Blueprint(13, 14, bp.tagged + (clash,)).partial_set()
+        assert err.value.pair == (1, 1)
+        assert err.value.tags == ("seed", "clash")
+
+    def test_identical_seed_square_accepted(self):
+        from bmwgroups.radu import S0Blueprint, TaggedSquare
+
+        bp = blueprint(13, 14)
+        again = TaggedSquare(Square(1, 1, 1, 1), "seed")
+        partial = S0Blueprint(13, 14, bp.tagged + (again,)).partial_set()
+        assert partial.to_squares() == bp.partial_set().to_squares()
+
+
 class TestExtension:
     def test_empty_filler_valid_and_full_symmetric(self):
         s = extension(13, 14)

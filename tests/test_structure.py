@@ -38,6 +38,7 @@ from bmwgroups import structure
 from .oracles import (
     census_classes_by_orbit_bfs,
     census_count_by_enumeration,
+    partner_table_fault,
     structure_set_tables_by_filter,
 )
 
@@ -105,6 +106,64 @@ class TestValidate:
                 j, l = s.partner(i, k)
                 assert s.partner(j, l) == (i, k)
                 assert s.partner(i, l) == (j, k)
+
+
+class TestCheckedConstructor:
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 2)])
+    def test_accepts_exactly_the_filtered_tables(self, m, n):
+        cells = [(i, k) for i in range(1, m + 1) for k in range(1, n + 1)]
+        valid = {tuple(t[c] for c in cells) for t in structure_set_tables_by_filter(m, n)}
+        accepted = 0
+        for pairs in itertools.product(cells, repeat=len(cells)):
+            if pairs in valid:
+                assert StructureSet(m, n, pairs).encoding() == pairs
+                accepted += 1
+            else:
+                with pytest.raises(DegreeError):
+                    StructureSet(m, n, pairs)
+        assert accepted == len(valid) == enumerate_structure_sets(m, n)
+
+    def test_single_cell_mutations_of_delta(self):
+        # every replacement of one partner, in range or not, against the oracle
+        pairs = delta().encoding()
+        cells = [(i, k) for i in range(1, 5) for k in range(1, 6)]
+        refused = 0
+        for c in range(20):
+            for value in itertools.product(range(0, 6), range(0, 7)):
+                mutated = pairs[:c] + (value,) + pairs[c + 1:]
+                expected = partner_table_fault(4, 5, dict(zip(cells, mutated)))
+                if expected is None:
+                    assert StructureSet(4, 5, mutated) == delta()
+                    continue
+                refused += 1
+                with pytest.raises(expected[0]) as err:
+                    StructureSet(4, 5, mutated)
+                assert (type(err.value), str(err.value)) == expected
+        assert refused == 20 * 42 - 20
+
+    def test_partial_mutations_of_delta(self):
+        # the same laws on the defined cells, with the partial-table messages
+        cells = dict(zip(
+            [(i, k) for i in range(1, 5) for k in range(1, 6)], delta().encoding()
+        ))
+        for cell in cells:
+            for value in [None] + list(itertools.product(range(0, 6), range(0, 7))):
+                mutated = dict(cells)
+                if value is None:
+                    del mutated[cell]
+                else:
+                    mutated[cell] = value
+                expected = partner_table_fault(4, 5, mutated, partial=True)
+                if expected is None:
+                    assert PartialStructureSet(4, 5, mutated).defined_cells() == set(mutated)
+                    continue
+                with pytest.raises(expected[0]) as err:
+                    PartialStructureSet(4, 5, mutated)
+                assert (type(err.value), str(err.value)) == expected
+
+    def test_wrong_size_refused(self):
+        with pytest.raises(DegreeError, match="wrong size"):
+            StructureSet(2, 2, [(1, 1)] * 3)
 
 
 class TestLocalInvolutions:
@@ -276,7 +335,7 @@ class TestPartialAndMerge:
             assert s.partner(i, k) == p.partner(i, k)
 
     def test_partial_square_closure_enforced(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DegreeError, match="partial table is not an involution"):
             PartialStructureSet(2, 2, {(1, 1): (2, 2)})  # missing the mirror cells
 
 
