@@ -71,6 +71,7 @@ from .structure import (
     StructureSet,
     all_diagonal,
     canonical_form,
+    census_counts,
     complete_with_diagonal,
     complex_summary,
     count_up_to_relabeling,

@@ -121,10 +121,11 @@ def cmd_census(cfg: RunConfig) -> int:
     if cfg.m is None or cfg.n is None or cfg.m < 1 or cfg.n < 1:
         _note("error: --m and --n must be positive")
         return EXIT_USAGE
-    total = structure.enumerate_structure_sets(cfg.m, cfg.n, guard=cfg.census_guard)
-    classes = None
     if cfg.up_to_relabeling:
-        classes = structure.count_up_to_relabeling(cfg.m, cfg.n, guard=cfg.census_guard)
+        total, classes = structure.census_counts(cfg.m, cfg.n, guard=cfg.census_guard)
+    else:
+        total = structure.enumerate_structure_sets(cfg.m, cfg.n, guard=cfg.census_guard)
+        classes = None
     if cfg.fmt == "json":
         doc = {"m": cfg.m, "n": cfg.n, "structure_sets": total}
         if classes is not None:
@@ -184,6 +185,7 @@ def cmd_mc(cfg: RunConfig) -> int:
         RngState(cfg.seed),
         radius=cfg.radius,
         enumeration_limit=cfg.enumeration_limit,
+        order_guard=cfg.order_guard,
     )
     _emit(formats.dumps(formats.estimate_document(result)), cfg.output_path)
     return EXIT_OK

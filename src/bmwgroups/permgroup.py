@@ -1,14 +1,25 @@
 """Queries on subgroups of Sym(d) given by generators.
 
 This backs every "the local action is Sym/Alt" certificate in the package:
-exact orders through a stabilizer chain, transitivity and 2-transitivity,
-primitivity through finest-block refinement, recognition of alternating-group
-containment, and Schreier graphs of generator actions.
+exact orders, transitivity and 2-transitivity, primitivity through
+finest-block refinement, recognition of alternating-group containment, and
+Schreier graphs of generator actions.
 
-Exact orders come from the deterministic stabilizer chain in
-:mod:`bmwgroups.schreier` behind a degree guard.  Results that cannot be
-decided within a budget are reported as ``None`` ("unknown"), never coerced
-to ``False``.
+Exact orders sit behind a degree guard, which refuses before any work.  Past
+it, three exact facts decide most groups the package meets without a
+stabilizer chain:
+
+* generators that are all transpositions generate the direct product of the
+  symmetric groups on the components of their graph;
+* Jordan's theorem: a primitive group containing a p-cycle, p prime and
+  p <= d-3, contains Alt(d), and generator parity then tells Sym(d) from
+  Alt(d);
+* a transitive group containing such a p-cycle with 2p > d is primitive.
+
+Only when none applies does the deterministic stabilizer chain in
+:mod:`bmwgroups.schreier` run, so every order is exact.  Results that cannot
+be decided within a budget are reported as ``None`` ("unknown"), never
+coerced to ``False``.
 
 Group analyses cache write-once on the instance; concurrent readers are safe
 once a value is computed, and analyses of distinct groups are independent.
@@ -16,7 +27,9 @@ once a value is computed, and analyses of distinct groups are independent.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -44,6 +57,14 @@ def _is_prime(p: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of ``x``, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -121,7 +142,13 @@ class PermutationGroup:
     # -- order -----------------------------------------------------------------
 
     def order(self, guard: int = DEFAULT_ORDER_GUARD) -> int:
-        """Exact order via a base/strong-generating-set computation."""
+        """Exact order: by theorem when one applies, else by a stabilizer chain.
+
+        The degree guard comes first and covers both routes.  Then
+        :meth:`_order_by_theorem` tries the exact facts listed in the module
+        docstring; only when none decides does the Schreier-Sims chain of
+        :func:`bmwgroups.schreier.chain_order` run.
+        """
         if self._order is None:
             if self.degree > guard:
                 raise ResourceError(
@@ -131,10 +158,57 @@ class PermutationGroup:
             if not self._gens:
                 self._order = 1
             else:
+                self._order = self._order_by_theorem()
+            if self._order is None:
                 from .schreier import chain_order
 
                 self._order = chain_order(self.degree, self._images0())
         return self._order
+
+    def _order_by_theorem(self) -> Optional[int]:
+        """The exact order when a classical theorem settles it, else ``None``.
+
+        * Every generator a transposition: the group is the direct product of
+          Sym(C) over the components C of the graph whose edges are the
+          transpositions, so the order is the product of the ``|C|!``.
+        * Jordan (Wielandt, *Finite Permutation Groups*, Thm 13.9;
+          Dixon-Mortimer, *Permutation Groups*, Thm 3.3E): a primitive group
+          containing a p-cycle, p prime and p <= d-3, contains Alt(d).  The
+          p-cycle is a power of a generator or of a product of two generators
+          (:meth:`_prime_cycle_certificate`).  A transitive group with such a
+          p-cycle and 2p > d is primitive, since a block system would need
+          blocks of size >= p > d/2; otherwise :meth:`is_primitive` decides.
+          An odd generator then gives d!, all even ones d!/2.
+
+        ``None`` (intransitive, imprimitive, no certificate, or d < 5) leaves
+        the order to the stabilizer chain.
+        """
+        d = self.degree
+        gens0 = self._images0()
+        moved = [[x for x, y in enumerate(g) if x != y] for g in gens0]
+        if all(len(points) == 2 for points in moved):
+            parent = list(range(d))
+            for a, b in moved:
+                parent[_find(parent, a)] = _find(parent, b)
+            sizes = Counter(_find(parent, x) for x in range(d))
+            return math.prod(math.factorial(size) for size in sizes.values())
+        if d < 5 or not self.is_transitive():
+            return None
+        products = ([g[x] for x in h] for h, g in itertools.combinations(gens0, 2))
+        for img0 in itertools.chain(gens0, products):
+            cert = self._prime_cycle_certificate(img0)
+            if cert is not None:
+                break
+        else:
+            return None
+        if 2 * cert[0] <= d and not (
+            d <= DEFAULT_PRIMITIVITY_GUARD and self.is_primitive()
+        ):
+            return None
+        # Alt(d) <= G at d >= 5, so G is also primitive and 2-transitive
+        self._primitive = self._two_transitive = True
+        odd = any(g.parity() for g in self._gens)
+        return math.factorial(d) if odd else math.factorial(d) // 2
 
     # -- orbit predicates --------------------------------------------------------
 
@@ -205,25 +279,20 @@ class PermutationGroup:
         if not (2 <= w <= self.degree):
             raise RangeError("w must lie in 2..degree")
         parent = list(range(self.degree))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         gens0 = self._images0()
-        parent[find(w - 1)] = find(0)
+        parent[w - 1] = 0
         queue = [(0, w - 1)]
-        while queue:
+        classes = self.degree - 1
+        while queue and classes > 1:
             x, y = queue.pop()
             for g in gens0:
-                rx, ry = find(g[x]), find(g[y])
+                rx, ry = _find(parent, g[x]), _find(parent, g[y])
                 if rx != ry:
                     parent[ry] = rx
+                    classes -= 1
                     queue.append((g[x], g[y]))
-        root0 = find(0)
-        return frozenset(x + 1 for x in range(self.degree) if find(x) == root0)
+        root0 = _find(parent, 0)
+        return frozenset(x + 1 for x in range(self.degree) if _find(parent, x) == root0)
 
     # -- alternating-group recognition --------------------------------------------
 

@@ -805,6 +805,7 @@ def monte_carlo(
     *,
     radius: int = DEFAULT_BALL_RADIUS,
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
+    order_guard: int = DEFAULT_ORDER_GUARD,
 ) -> McResult:
     """Estimate a model statistic, by sampling or by exhaustive enumeration.
 
@@ -813,6 +814,8 @@ def monte_carlo(
     ``enumeration_limit``).  Sampling mode derives one rng substream per
     trial from ``(seed, trial index)``, so results do not depend on batching
     or scheduling; the passed state itself is never advanced.
+    ``order_guard`` reaches every :func:`irr_certificate` of
+    ``certificate_rates``.
     """
     if kind not in MC_KINDS:
         raise UsageError(f"unknown kind {kind!r}; expected one of {MC_KINDS}")
@@ -846,7 +849,10 @@ def monte_carlo(
             if trials == 0
             else (sample_tuple(m_eff, n, rng.derive(t)) for t in range(trials))
         )
-        rows = [_certificate_flags(irr_certificate(tup, radius=radius)) for tup in tuples]
+        rows = [
+            _certificate_flags(irr_certificate(tup, radius=radius, order_guard=order_guard))
+            for tup in tuples
+        ]
         columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
     else:
         statistic = _STATISTICS[kind]

@@ -24,7 +24,8 @@ cell picks the square covering it, as in :func:`iter_structure_sets`.  The
 number of relabeling classes comes from Burnside's lemma: the same DP counts
 the sets fixed by one relabeling of each pair of cycle types, placing whole
 orbits of squares at a time, and the weighted mean of those counts over
-Sym(m) x Sym(n) is the number of orbits.
+Sym(m) x Sym(n) is the number of orbits.  The identity term of that sum is
+the set count, so :func:`census_counts` runs its DP once for both numbers.
 
 All objects are immutable after construction.  Census-style operations carry
 hard guards and raise :class:`ResourceError` beyond them; they never truncate
@@ -728,11 +729,23 @@ def count_up_to_relabeling(m: int, n: int, guard: int = DEFAULT_CENSUS_GUARD) ->
     constant on them).  The sum is exact in integers; a nonzero remainder
     means a fixed count is wrong and raises ``ArithmeticError``.
     """
+    return census_counts(m, n, guard)[1]
+
+
+def census_counts(m: int, n: int, guard: int = DEFAULT_CENSUS_GUARD) -> tuple[int, int]:
+    """``(enumerate_structure_sets(m, n), count_up_to_relabeling(m, n))``.
+
+    The set count is the identity term of Burnside's sum, so its DP, the
+    largest in the sum, runs once for both numbers.
+    """
     m, n = _census_degrees(m, n, guard)
+    identity = (list(range(m)), list(range(n)))
+    sets = _fixed_count(m, n, *identity)
     total = 0
     for mu, mu_class in _cycle_types(m):
         for nu, nu_class in _cycle_types(n):
-            total += _fixed_count(m, n, mu, nu) * mu_class * nu_class
+            fixed = sets if (mu, nu) == identity else _fixed_count(m, n, mu, nu)
+            total += fixed * mu_class * nu_class
     group_order = math.factorial(m) * math.factorial(n)
     classes, remainder = divmod(total, group_order)
     if remainder:
@@ -740,4 +753,4 @@ def count_up_to_relabeling(m: int, n: int, guard: int = DEFAULT_CENSUS_GUARD) ->
             f"Burnside sum {total} at (m, n) = ({m}, {n})"
             f" is not a multiple of m! n! = {group_order}"
         )
-    return classes
+    return sets, classes

@@ -28,7 +28,7 @@ from bmwgroups.perm import (
     pairing,
 )
 from bmwgroups.permgroup import PermutationGroup
-from bmwgroups.radu import delta, extension, schreier_claim_check
+from bmwgroups.radu import delta, extension, random_filler, schreier_claim_check
 from bmwgroups.randmodel import (
     InvolutionTuple,
     exact_orbit_share_prob,
@@ -179,21 +179,24 @@ def test_07_radu_family():
     s_delta = delta()
     ok = PermutationGroup(4, s_delta.local_involutions("A")).order() == 24
     ok = ok and PermutationGroup(5, s_delta.local_involutions("B")).order() == 120
-    for n in range(14, 31):
+    for n in range(14, 61):
         claim = schreier_claim_check(n)
         ok = ok and claim.connected and claim.not_bipartite
-    for m in range(13, 17):
-        for n in range(14, 31):
-            s = extension(m, n)  # conflict-free construction validates en route
-            ok = ok and PermutationGroup(n, s.local_involutions("B")).order() == math.factorial(n)
-            ok = ok and PermutationGroup(m, s.local_involutions("A")).order() == math.factorial(m)
+    cases = [(m, n, None) for m in range(13, 17) for n in range(14, 61)]
+    cases += [(60, 120, 7), (60, 120, 11)]
+    for m, n, filler_seed in cases:
+        filler = None if filler_seed is None else random_filler(m, n, RngState(filler_seed))
+        s = extension(m, n, filler)  # conflict-free construction validates en route
+        ok = ok and PermutationGroup(n, s.local_involutions("B")).order() == math.factorial(n)
+        ok = ok and PermutationGroup(m, s.local_involutions("A")).order() == math.factorial(m)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 300.0
     assert report(
         7,
         ok,
         f"seed orders 24/120; full-symmetric local actions and Schreier claim "
-        f"across 13<=m<=16, 14<=n<=30 ({elapsed:.1f}s)",
+        f"across 13<=m<=16, 14<=n<=60, and (60, 120) with filler seeds 7 and 11 "
+        f"({elapsed:.1f}s)",
     )
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bmwgroups import formats
+from bmwgroups import formats, schreier
 from bmwgroups.cli import main
 from bmwgroups.errors import UsageError
 from bmwgroups.perm import Permutation
@@ -296,6 +296,18 @@ class TestS0:
         code, _out, _err = run(capsys, "s0", "--m", "12", "--n", "14")
         assert code == 2
 
+    def test_verify_decides_by_theorem_without_a_chain(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("chain_order ran")
+
+        monkeypatch.setattr(schreier, "chain_order", refuse)
+        code, out, err = run(capsys, "s0", "--m", "32", "--n", "60", "--verify")
+        assert code == 0
+        assert len([ln for ln in err.splitlines() if ln.endswith(": pass")]) == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fe6e37d8bcdcdfbfb8929a6a6889f50b64a5db436f7ec6337084c7e95dfe13d9"
+        )
+
 
 class TestMc:
     def test_expected_matches(self, capsys):
@@ -340,6 +352,18 @@ class TestMc:
         _c1, out1, _ = run(capsys, *args)
         _c2, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_order_guard_env_reaches_certificate_rates(self, capsys, monkeypatch):
+        args = ("mc", "--kind", "certificate_rates", "--m", "6", "--n", "200", "--trials", "5")
+        monkeypatch.setenv("BMWGROUPS_ORDER_GUARD", "3")
+        code, out, err = run(capsys, *args)
+        assert code == 3 and out == "" and "resource guard" in err
+        monkeypatch.delenv("BMWGROUPS_ORDER_GUARD")
+        code, out, _err = run(capsys, *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4364d13c5cf4b6b31708600b71ec98f6102e04df374e35c6638497ed872a3c3f"
+        )
 
 
 class TestParser:

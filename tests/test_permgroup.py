@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from bmwgroups import radu, schreier
 from bmwgroups.errors import ResourceError
 from bmwgroups.perm import Permutation
 from bmwgroups.permgroup import (
@@ -14,6 +15,7 @@ from bmwgroups.permgroup import (
     is_two_transitive,
     schreier_analysis,
 )
+from bmwgroups.randmodel import match_graph, sample_tuple
 from bmwgroups.rng import RngState
 
 from .oracles import (
@@ -83,6 +85,124 @@ class TestOrder:
                     power = power * gen
                     k += 1
                 assert order % k == 0
+
+
+def _random_transposition(degree, rng):
+    i = 1 + rng.randbelow(degree)
+    j = 1 + rng.randbelow(degree - 1)
+    return Permutation.transposition(degree, i, j + (j >= i))
+
+
+def _random_involution(degree, rng):
+    images = list(range(1, degree + 1))
+    points = list(range(degree))
+    for _ in range(1 + rng.randbelow(degree // 2)):
+        x = points.pop(rng.randbelow(len(points)))
+        y = points.pop(rng.randbelow(len(points)))
+        images[x], images[y] = y + 1, x + 1
+    return Permutation(images)
+
+
+def _random_three_cycle(degree, rng):
+    points = list(range(1, degree + 1))
+    return cyc(degree, tuple(points.pop(rng.randbelow(len(points))) for _ in range(3)))
+
+
+def _cross_check_groups():
+    """The closure test's groups, then random groups at d = 5..8 of several shapes."""
+    rng = RngState(31)
+    for degree in (4, 5, 6, 7):
+        for _ in range(10):
+            yield degree, [_random_perm(degree, rng) for _ in range(2)]
+    rng = RngState(2718)
+    shapes = (_random_perm, _random_transposition, _random_involution, _random_three_cycle)
+    for degree in (5, 6, 7, 8):
+        for k in range(40):
+            count = 1 + rng.randbelow(4)
+            yield degree, [shapes[(k + i) % 4](degree, rng) for i in range(count)]
+
+
+def _assert_order_matches_chain(degree, gens):
+    g = PermutationGroup(degree, gens)
+    order = g.order()
+    assert order == schreier.chain_order(degree, [[v - 1 for v in p.images] for p in gens])
+    return order
+
+
+class TestTheoremRoute:
+    """``order()`` decides by theorem where it can; it must agree with the chain."""
+
+    def test_random_groups_match_chain_and_closure(self):
+        for degree, gens in _cross_check_groups():
+            order = _assert_order_matches_chain(degree, gens)
+            if degree <= 6:
+                assert order == closure_order(gens)
+
+    def test_classification_fields_match_fresh_analyses(self):
+        # the route records primitivity and 2-transitivity when it certifies Alt(d)
+        for degree, gens in _cross_check_groups():
+            cls = PermutationGroup(degree, gens).classify("exact")
+            fresh = PermutationGroup(degree, gens)
+            assert cls.is_primitive == fresh.is_primitive()
+            assert cls.is_two_transitive == fresh.is_two_transitive()
+
+    def test_s0_local_actions_match_chain(self):
+        for m in range(13, 17):
+            for n in range(14, 21):
+                s = radu.extension(m, n)
+                assert _assert_order_matches_chain(n, s.local_involutions("B")) == math.factorial(n)
+                assert _assert_order_matches_chain(m, s.local_involutions("A")) == math.factorial(m)
+
+    def test_random_model_local_actions_match_chain(self):
+        # both sides at (4, 6); the A side only at (6, 200), where a degree-200
+        # chain would take minutes
+        for (m, n), sides in (((4, 6), "AB"), ((6, 200), "A")):
+            rng = RngState(1000 * m + n)
+            built = 0
+            while built < 50:
+                graph = match_graph(sample_tuple(m, n, rng))
+                if graph.triple_witness() is not None:
+                    continue
+                built += 1
+                s = graph.structure_set()
+                for side in sides:
+                    degree = m if side == "A" else n
+                    gens = s.local_involutions(side)
+                    order = _assert_order_matches_chain(degree, gens)
+                    if degree <= 6:
+                        assert order == closure_order(list(dict.fromkeys(gens)))
+
+    def test_imprimitive_wreath_falls_back_to_chain(self, monkeypatch):
+        # Sym(3) wr Sym(2): transitive, imprimitive, with a transposition
+        calls = []
+        chain_order = schreier.chain_order
+
+        def counted(degree, generators):
+            calls.append(degree)
+            return chain_order(degree, generators)
+
+        monkeypatch.setattr(schreier, "chain_order", counted)
+        g = group(6, cyc(6, (1, 2)), cyc(6, (1, 2, 3)), cyc(6, (1, 4), (2, 5), (3, 6)))
+        assert g.order() == 72
+        # a 3-cycle at degree 6: 2p = d, so primitivity is still checked
+        g = group(6, cyc(6, (1, 2, 3)), cyc(6, (1, 4), (2, 5), (3, 6)))
+        assert g.order() == 18
+        assert calls == [6, 6]
+
+    def test_theorem_cases_skip_the_chain(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("chain_order ran")
+
+        monkeypatch.setattr(schreier, "chain_order", refuse)
+        # every generator even: Alt(7), not Sym(7)
+        assert group(7, cyc(7, (1, 2, 3)), cyc(7, (1, 2, 3, 4, 5, 6, 7))).order() == 2520
+        # no generator powers to a prime cycle; a product of two does
+        gens = [cyc(7, (1, 2), (3, 4)), cyc(7, (2, 3), (5, 6)), cyc(7, (4, 5), (6, 7))]
+        assert group(7, *gens).order() == 2520
+        # intransitive transpositions with components {1, 2, 3} and {4, 5}
+        assert group(5, cyc(5, (1, 2)), cyc(5, (2, 3)), cyc(5, (4, 5))).order() == 12
+        # a 5-cycle at degree 8 is primitive for free (2p > d); the 8-cycle is odd
+        assert group(8, cyc(8, (1, 2, 3, 4, 5)), cyc(8, tuple(range(1, 9)))).order() == 40320
 
 
 class TestTransitivity:

@@ -22,6 +22,7 @@ from bmwgroups.structure import (
     StructureSet,
     all_diagonal,
     canonical_form,
+    census_counts,
     complete_with_diagonal,
     complex_summary,
     count_up_to_relabeling,
@@ -412,12 +413,28 @@ class TestCensus:
         with pytest.raises(ArithmeticError):
             count_up_to_relabeling(2, 3)
 
+    def test_census_counts_runs_the_identity_dp_once(self, monkeypatch):
+        fixed_count = structure._fixed_count
+        identity_runs = []
+
+        def counted(m, n, mu, nu):
+            if list(mu) == list(range(m)) and list(nu) == list(range(n)):
+                identity_runs.append((m, n))
+            return fixed_count(m, n, mu, nu)
+
+        monkeypatch.setattr(structure, "_fixed_count", counted)
+        for m, n in ((1, 4), (2, 3), (3, 4), (4, 1)):
+            identity_runs.clear()
+            got = census_counts(m, n)
+            assert identity_runs == [(m, n)]
+            assert got == (enumerate_structure_sets(m, n), count_up_to_relabeling(m, n))
+
     def test_guard_and_degree_checks_precede_work(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("census ran past its argument checks")
 
         monkeypatch.setattr(structure, "_fixed_count", refuse)
-        for census in (enumerate_structure_sets, count_up_to_relabeling):
+        for census in (enumerate_structure_sets, count_up_to_relabeling, census_counts):
             with pytest.raises(ResourceError, match=r"census guarded at m\*n <= 16, got 25"):
                 census(5, 5)
             with pytest.raises(DegreeError):
