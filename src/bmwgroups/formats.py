@@ -98,7 +98,7 @@ def tuple_document(t: InvolutionTuple, seed: Optional[int] = None) -> dict:
         "schema": SCHEMA_TUPLE,
         "m": t.m,
         "n": t.n,
-        "involutions": [list(e.images) for e in t.entries],
+        "involutions": t.images.tolist(),
     }
     if seed is not None:
         doc["seed"] = seed

@@ -118,6 +118,7 @@ class PermutationGroup:
                 seen.add(g.images)
                 uniq.append(g)
         self._gens = tuple(uniq)
+        self._gens0 = tuple(tuple(v - 1 for v in g.images) for g in uniq)
         self._gen_arrays: Optional[list[np.ndarray]] = None
         self._order: Optional[int] = None
         self._transitive: Optional[bool] = None
@@ -129,14 +130,9 @@ class PermutationGroup:
 
     # -- internals -------------------------------------------------------------
 
-    def _images0(self) -> list[tuple[int, ...]]:
-        return [tuple(v - 1 for v in g.images) for g in self._gens]
-
     def _arrays0(self) -> list[np.ndarray]:
         if self._gen_arrays is None:
-            self._gen_arrays = [
-                np.array([v - 1 for v in g.images], dtype=np.int64) for g in self._gens
-            ]
+            self._gen_arrays = [np.array(g, dtype=np.int64) for g in self._gens0]
         return self._gen_arrays
 
     # -- order -----------------------------------------------------------------
@@ -162,7 +158,7 @@ class PermutationGroup:
             if self._order is None:
                 from .schreier import chain_order
 
-                self._order = chain_order(self.degree, self._images0())
+                self._order = chain_order(self.degree, self._gens0)
         return self._order
 
     def _order_by_theorem(self) -> Optional[int]:
@@ -184,7 +180,7 @@ class PermutationGroup:
         the order to the stabilizer chain.
         """
         d = self.degree
-        gens0 = self._images0()
+        gens0 = self._gens0
         moved = [[x for x, y in enumerate(g) if x != y] for g in gens0]
         if all(len(points) == 2 for points in moved):
             parent = list(range(d))
@@ -216,7 +212,7 @@ class PermutationGroup:
         if self._transitive is None:
             seen = {0}
             stack = [0]
-            gens0 = self._images0()
+            gens0 = self._gens0
             while stack:
                 x = stack.pop()
                 for g in gens0:
@@ -236,7 +232,7 @@ class PermutationGroup:
                 self._two_transitive = False
             else:
                 d = self.degree
-                gens0 = self._images0()
+                gens0 = self._gens0
                 start = 0 * d + 1  # the ordered pair (1, 2)
                 seen = {start}
                 stack = [start]
@@ -279,7 +275,7 @@ class PermutationGroup:
         if not (2 <= w <= self.degree):
             raise RangeError("w must lie in 2..degree")
         parent = list(range(self.degree))
-        gens0 = self._images0()
+        gens0 = self._gens0
         parent[w - 1] = 0
         queue = [(0, w - 1)]
         classes = self.degree - 1
@@ -357,8 +353,6 @@ class PermutationGroup:
         rng: Optional[RngState] = None,
         words: int = DEFAULT_JORDAN_WORDS,
         max_word_len: int = DEFAULT_JORDAN_WORD_LEN,
-        order_guard: int = DEFAULT_ORDER_GUARD,
-        primitivity_guard: int = DEFAULT_PRIMITIVITY_GUARD,
     ) -> Optional[bool]:
         """Whether Alt(degree) is contained in the group.
 
@@ -383,7 +377,7 @@ class PermutationGroup:
         if not self._gens:
             return d <= 2  # Alt(d) is trivial only for d <= 2
         if strategy == "exact" or d < 5:
-            return self.order(guard=order_guard) >= math.factorial(d) // 2
+            return self.order() >= math.factorial(d) // 2
         if not self.is_transitive():
             return False
         if rng is None:
@@ -397,7 +391,7 @@ class PermutationGroup:
             if 2 * p > d:
                 return True
             small_p = True
-        if small_p and d <= primitivity_guard and self.is_primitive(primitivity_guard):
+        if small_p and d <= DEFAULT_PRIMITIVITY_GUARD and self.is_primitive():
             return True
         return None
 

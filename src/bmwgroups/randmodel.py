@@ -7,14 +7,16 @@ reproducibly, evaluates every certificate used to predict properties of the
 presented group, and runs exact or Monte-Carlo probability computations
 against closed-form values.
 
-The match graph (:class:`MatchGraph`) is the tuple's single coincidence
-table: one pass maps each point pair ``k < l`` to the coordinates mapping
-``k`` to ``l`` (at most two of them span one square of the structure set).
-The triple and overlap witnesses, the midpoint check, the shared-orbit
-statistic, black/white edges, connectivity and white balls are read from it.
-A derived structure set's b-parts are the tuple's ``(m, n)`` image array, and
-its a-parts differ from the row's own coordinate only on black edges.  The
-batched Monte-Carlo statistics compute the coincidences over ``(B, m, n)``.
+A tuple (:class:`InvolutionTuple`) is one read-only ``(m, n)`` array of
+1-based images.  The match graph (:class:`MatchGraph`) holds it and is the
+tuple's single coincidence table: one pass maps each point pair ``k < l``
+to the coordinates mapping ``k`` to ``l`` (at most two of them span one
+square of the structure set).  The triple and overlap witnesses, the
+midpoint check, the shared-orbit statistic, black/white edges, connectivity
+and white balls are read from it.  A derived structure set's b-parts are the
+tuple's image array, and its a-parts differ from the row's own coordinate
+only on black edges.  Every Monte-Carlo kind reads ``(B, m, n)`` batches of
+one sampler, in memory-bounded chunks.
 
 Certificates (names used in reports):
 
@@ -58,7 +60,6 @@ from .perm import (
     FpfInvolution,
     count_fpf,
     enumerate_fpf,
-    pairing,
     random_fpf,
     random_fpf_images_draft,
 )
@@ -77,32 +78,60 @@ MC_KINDS = (
 )
 
 
-@dataclass(frozen=True)
 class InvolutionTuple:
-    """An element of (F_n)^m: m fixed-point-free involutions of degree n."""
+    """An element of (F_n)^m, stored as one read-only (m, n) int64 image array.
 
-    m: int
-    n: int
-    entries: tuple[FpfInvolution, ...]
+    One vectorized test checks that every entry is in range, an involution
+    and not fixed.  Malformed input raises the error that the first faulty
+    row raises as an :class:`FpfInvolution`.
+    """
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ArityError("m must be positive")
-        if len(self.entries) != self.m:
-            raise ArityError("entry count does not match m")
-        for e in self.entries:
-            if e.degree != self.n:
-                raise DegreeError("entry degree mismatch")
+    __slots__ = ("m", "n", "images")
+
+    def __init__(self, images: Sequence[Sequence[int]]):
+        try:
+            table = np.array(images, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            table = None
+        if table is None or table.ndim != 2 or not table.size or not _fpf_rows(table):
+            raise _row_fault(images)
+        table.flags.writeable = False
+        self.m, self.n = table.shape
+        self.images = table
 
     @classmethod
     def from_images(cls, images: Sequence[Sequence[int]]) -> "InvolutionTuple":
-        entries = tuple(FpfInvolution(img) for img in images)
-        if not entries:
-            raise ArityError("at least one involution required")
-        return cls(len(entries), entries[0].degree, entries)
+        return cls(images)
 
-    def pairings(self) -> tuple[frozenset, ...]:
-        return tuple(pairing(e) for e in self.entries)
+    @property
+    def entries(self) -> tuple[FpfInvolution, ...]:
+        """The coordinates as :class:`FpfInvolution` objects, built on each call."""
+        return tuple(FpfInvolution(row) for row in self.images.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, InvolutionTuple) and np.array_equal(self.images, other.images)
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.images.tobytes()))
+
+
+def _fpf_rows(table: np.ndarray) -> bool:
+    """Whether every row of a 1-based image table is a fixed-point-free involution."""
+    points = np.arange(1, table.shape[1] + 1)
+    if table.min() < 1 or table.max() > len(points):
+        return False
+    back = np.take_along_axis(table, table - 1, axis=1)
+    return bool((back == points).all() and (table != points).all())
+
+
+def _row_fault(images) -> Exception:
+    """The error of a malformed image table: its first faulty row's, in order."""
+    degrees = {FpfInvolution(row).degree for row in images}
+    if not degrees:
+        return ArityError("at least one involution required")
+    if len(degrees) > 1:
+        return DegreeError("entry degree mismatch")
+    return DegreeError("images must form an (m, n) table of integers")
 
 
 def sample_tuple(m: int, n: int, rng: RngState) -> InvolutionTuple:
@@ -115,8 +144,7 @@ def sample_tuple(m: int, n: int, rng: RngState) -> InvolutionTuple:
     """
     if m < 1:
         raise ArityError("m must be positive")
-    entries = tuple(random_fpf(n, rng) for _ in range(m))
-    return InvolutionTuple(m, n, entries)
+    return InvolutionTuple([random_fpf(n, rng).images for _ in range(m)])
 
 
 def sample_tuple_images_batch(
@@ -140,8 +168,7 @@ def sample_tuple_images_batch(
         out[:, c, :], hit = random_fpf_images_draft(n, seeds, start_index=c * steps)
         rejected |= hit
     for t in np.nonzero(rejected)[0]:
-        tup = sample_tuple(m, n, rng.derive(first_trial + int(t)))
-        out[t] = [e.images for e in tup.entries]
+        out[t] = sample_tuple(m, n, rng.derive(first_trial + int(t))).images
     return out
 
 
@@ -176,26 +203,17 @@ class MatchGraph:
     are exactly those of one edge at it.
     """
 
-    __slots__ = ("m", "n", "edge_coords", "_images", "_adj")
+    __slots__ = ("m", "n", "images", "edge_coords", "_adj")
 
-    def __init__(self, m: int, n: int, edge_coords: dict):
-        self.m = m
-        self.n = n
-        self.edge_coords = edge_coords
-        self._images: Optional[list] = None
-        self._adj: Optional[dict] = None
-
-    @classmethod
-    def from_tuple(cls, t: InvolutionTuple) -> "MatchGraph":
+    def __init__(self, t: InvolutionTuple):
+        self.m, self.n, self.images = t.m, t.n, t.images
         edge_coords: dict[tuple[int, int], tuple[int, ...]] = {}
-        images = [entry.images for entry in t.entries]
-        for idx, row in enumerate(images, 1):
+        for idx, row in enumerate(t.images.tolist(), 1):
             for k, l in enumerate(row, 1):
                 if k < l:
                     edge_coords[(k, l)] = edge_coords.get((k, l), ()) + (idx,)
-        graph = cls(t.m, t.n, edge_coords)
-        graph._images = images
-        return graph
+        self.edge_coords = edge_coords
+        self._adj: Optional[dict] = None
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edge_coords))
@@ -273,10 +291,8 @@ class MatchGraph:
         ``(c', l)``, c' being the edge's other coordinate, or c on a white
         edge.  The b-parts are thus the tuple's image array, and the a-parts
         of row c are c except on black edges.  An edge with three coordinates
-        raises TripleMatchingError.  Needs a graph built by :meth:`from_tuple`.
+        raises TripleMatchingError.
         """
-        if self._images is None:
-            raise UsageError("the structure set needs a graph built by MatchGraph.from_tuple")
         black = [(edge, cs) for edge, cs in self.edge_coords.items() if len(cs) >= 2]
         if any(len(cs) >= 3 for _, cs in black):
             raise TripleMatchingError(self.triple_witness())
@@ -284,7 +300,7 @@ class MatchGraph:
         for (k, l), (c, c2) in black:
             a_part[c - 1, [k - 1, l - 1]] = c2
             a_part[c2 - 1, [k - 1, l - 1]] = c
-        return StructureSet(self.m, self.n, np.stack([a_part, np.array(self._images)], axis=-1))
+        return StructureSet(self.m, self.n, np.stack([a_part, self.images], axis=-1))
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         if self._adj is None:
@@ -328,7 +344,7 @@ class MatchGraph:
 
 
 def match_graph(t: InvolutionTuple) -> MatchGraph:
-    return MatchGraph.from_tuple(t)
+    return MatchGraph(t)
 
 
 def triple_matchings(t: InvolutionTuple) -> Optional[TripleWitness]:
@@ -675,13 +691,6 @@ _PRIMARY_STAT = {
 }
 
 
-def enumerate_tuples(m: int, n: int) -> Iterator[InvolutionTuple]:
-    """All of (F_n)^m, in lexicographic order; desk-scale only."""
-    pool = list(enumerate_fpf(n))
-    for combo in itertools.product(pool, repeat=m):
-        yield InvolutionTuple(m, n, tuple(combo))
-
-
 # Per-tuple statistics of the batched kinds, each over a (B, m, n) image
 # array; the estimand is the mean of the returned column.
 
@@ -726,19 +735,21 @@ _STATISTICS = {
     "overlap_rate": _has_overlap,
 }
 
-_CHUNK = 4096
+_CHUNK = 4096  # at most B trials per batch
+_CHUNK_ENTRIES = 1 << 23  # at most B m n image entries (64 MiB) per batch
 
 
 def _image_batches(m: int, n: int, trials: int, rng: RngState) -> Iterator[np.ndarray]:
     """(B, m, n) image arrays of trials 0..trials-1, or of all (F_n)^m if 0."""
+    chunk = min(_CHUNK, max(1, _CHUNK_ENTRIES // (m * n)))
     if trials:
-        for first in range(0, trials, _CHUNK):
-            yield sample_tuple_images_batch(m, n, rng, first, min(_CHUNK, trials - first))
+        for first in range(0, trials, chunk):
+            yield sample_tuple_images_batch(m, n, rng, first, min(chunk, trials - first))
         return
     pool = np.array([e.images for e in enumerate_fpf(n)], dtype=np.int64)
     combos = itertools.product(range(len(pool)), repeat=m)
     while True:
-        block = np.array(list(itertools.islice(combos, _CHUNK)), dtype=np.int64)
+        block = np.array(list(itertools.islice(combos, chunk)), dtype=np.int64)
         if not block.size:
             return
         yield pool[block]
@@ -843,24 +854,16 @@ def monte_carlo(
     else:
         result = McResult(kind, m, n, trials, rng.seed, "sampling")
 
+    # map and chain drop each batch before the next one is drawn
+    batches = _image_batches(m_eff, n, trials, rng)
     if kind == "certificate_rates":
-        tuples = (
-            enumerate_tuples(m_eff, n)
-            if trials == 0
-            else (sample_tuple(m_eff, n, rng.derive(t)) for t in range(trials))
-        )
         rows = [
             _certificate_flags(irr_certificate(tup, radius=radius, order_guard=order_guard))
-            for tup in tuples
+            for tup in map(InvolutionTuple, itertools.chain.from_iterable(batches))
         ]
         columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
     else:
-        statistic = _STATISTICS[kind]
-        columns = {
-            _PRIMARY_STAT[kind]: np.concatenate(
-                [statistic(imgs) for imgs in _image_batches(m_eff, n, trials, rng)]
-            )
-        }
+        columns = {_PRIMARY_STAT[kind]: np.concatenate(list(map(_STATISTICS[kind], batches)))}
     for name, values in columns.items():
         if trials == 0:
             frac = Fraction(int(values.sum()), len(values))

@@ -8,7 +8,9 @@ breadth-first searches instead of the contaminated-set computation,
 coincidence scans of image arrays instead of local-action groups or the
 match graph, one scalar tuple at a time instead of batched image-array
 statistics, listed structure sets and a relabeling-orbit search instead of
-the census DP and Burnside's lemma.
+the census DP and Burnside's lemma, one ``FpfInvolution`` per row instead of
+the vectorized tuple check, and listed tuples instead of the batched
+enumeration.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from bmwgroups.errors import (
     IndexOutOfRangeError,
     TripleMatchingError,
 )
+from bmwgroups.perm import FpfInvolution, enumerate_fpf, pairing
 from bmwgroups.randmodel import (
+    InvolutionTuple,
     MidpointResult,
     OverlapWitness,
     TripleWitness,
@@ -300,6 +304,35 @@ def connected_graph_probability(m, q):
     return Fraction(scaled[m], b ** math.comb(m, 2))
 
 
+def enumerate_tuples(m, n):
+    """All of (F_n)^m, in lexicographic order; desk-scale only."""
+    pool = list(enumerate_fpf(n))
+    for combo in itertools.product(pool, repeat=m):
+        yield InvolutionTuple.from_images([e.images for e in combo])
+
+
+def pairings(t):
+    """The 2-point orbits of each coordinate of ``t`` as sorted pairs."""
+    return tuple(pairing(e) for e in t.entries)
+
+
+def involution_rows_fault(images):
+    """The (error type, message) an image table must be refused with, or None.
+
+    Each row is built as a ``FpfInvolution`` in order, so the first faulty
+    row's own check decides; rows of unequal degree are refused after that.
+    """
+    try:
+        degrees = {FpfInvolution(row).degree for row in images}
+    except DegreeError as exc:
+        return DegreeError, str(exc)
+    if not degrees:
+        return ArityError, "at least one involution required"
+    if len(degrees) > 1:
+        return DegreeError, "entry degree mismatch"
+    return None
+
+
 def triple_matchings_by_scan(t):
     """First (point, coordinate triple) with three coordinates agreeing.
 
@@ -351,7 +384,7 @@ def midpoint_by_pairings(t):
     """The midpoint property from intersections of the orbit pairings."""
     if t.m < 3:
         raise ArityError("midpoint property needs at least 3 coordinates")
-    ps = t.pairings()
+    ps = pairings(t)
     shared = [
         [bool(ps[i] & ps[j]) if i != j else True for j in range(t.m)]
         for i in range(t.m)
@@ -369,7 +402,7 @@ def midpoint_by_pairings(t):
 
 def match_statistic_by_pairings(t):
     """Shared orbits over all coordinate pairs, from pairing intersections."""
-    ps = t.pairings()
+    ps = pairings(t)
     return sum(len(ps[i] & ps[j]) for i in range(t.m) for j in range(i + 1, t.m))
 
 
@@ -408,7 +441,7 @@ def scalar_mc_values(kind, m, n, trials, rng):
     for t in range(trials):
         tup = sample_tuple(m, n, rng.derive(t))
         if kind == "orbit_share":
-            values[t] = bool(tup.pairings()[0] & tup.pairings()[1])
+            values[t] = bool(pairings(tup)[0] & pairings(tup)[1])
         elif kind == "expected_M":
             values[t] = match_statistic_by_pairings(tup)
         elif kind == "triple_matching_rate":

@@ -111,6 +111,13 @@ class TestSample:
         assert len(doc["involutions"]) == 6
         assert all(len(img) == 12 for img in doc["involutions"])
 
+    def test_count_three_bytes_pinned(self, capsys):
+        code, out, _err = run(capsys, "sample", "--m", "6", "--n", "200", "--count", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "dc066b3b265af98bd34f2fa03fc6b0b5299f9e95ef469e8cb89434b23cd77667"
+        )
+
     def test_degree_beyond_m_to_the_fifth(self, capsys, tmp_path):
         # 7778 is the smallest even degree above 6^5
         out_file = tmp_path / "big.json"
@@ -173,6 +180,29 @@ class TestAnalyze:
         path.write_text(json.dumps(doc))
         code, _out, err = run(capsys, "analyze", "--input", str(path))
         assert code == 2
+
+    def test_header_mismatch_exit_two(self, capsys, tmp_path):
+        doc = formats.tuple_document(sample_tuple(2, 4, RngState(0)))
+        doc["n"] = 6
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: cannot read tuple file: tuple document header disagrees with its involutions\n"
+        )
+
+    def test_entry_beyond_int64_exit_two(self, capsys, tmp_path):
+        doc = formats.tuple_document(sample_tuple(2, 4, RngState(0)))
+        doc["involutions"][1][2] = 10**30
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: cannot read tuple file:"
+            " [3, 4, 1000000000000000000000000000000, 2] is not a bijection of 1..4\n"
+        )
 
     def test_certified_report_exits_zero(self, capsys, tmp_path, monkeypatch):
         # exit code 0 is reserved for fully certified reports; no desk-scale
@@ -364,6 +394,23 @@ class TestMc:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4364d13c5cf4b6b31708600b71ec98f6102e04df374e35c6638497ed872a3c3f"
         )
+
+    @pytest.mark.parametrize(
+        "m, n, trials, digest",
+        [
+            (2, 4, 0, "a486795adf4eb266fa9411bf3d75a24e6c9399290a4b9cfbec68bc3ec7f994f2"),
+            (3, 6, 0, "ed8a98ac83885bb56cd9c655b9526314255c24112aea604d0fbbd4b88504550e"),
+            (6, 200, 60, "423f2592d8de43f645839861de884e5dd8053c1c8454877a1eedd03a11ca09ed"),
+        ],
+    )
+    def test_certificate_rates_bytes_pinned(self, capsys, m, n, trials, digest):
+        code, out, _err = run(
+            capsys,
+            "mc", "--kind", "certificate_rates", "--m", str(m), "--n", str(n),
+            "--trials", str(trials),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestParser:

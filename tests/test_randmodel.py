@@ -1,8 +1,12 @@
+import itertools
 import math
+import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import bmwgroups.randmodel as randmodel
 import bmwgroups.rng as rng_module
 from bmwgroups.errors import (
     ArityError,
@@ -12,14 +16,14 @@ from bmwgroups.errors import (
     TripleMatchingError,
     UsageError,
 )
-from bmwgroups.perm import Permutation, enumerate_fpf, pairing
+from bmwgroups.perm import FpfInvolution, Permutation, enumerate_fpf, pairing
 from bmwgroups.permgroup import PermutationGroup
 from bmwgroups.randmodel import (
     InvolutionTuple,
     _certificate_flags,
+    _image_batches,
     _mean_se,
     caprace_exceptional_set,
-    enumerate_tuples,
     exact_orbit_share_prob,
     expected_match_statistic,
     irr_certificate,
@@ -37,9 +41,12 @@ from bmwgroups.randmodel import (
 from bmwgroups.rng import RngState
 
 from .oracles import (
+    enumerate_tuples,
+    involution_rows_fault,
     match_statistic_by_pairings,
     midpoint_by_pairings,
     overlapping_matches_by_scan,
+    pairings,
     scalar_mc_values,
     structure_set_by_squares,
     triple_matchings_by_scan,
@@ -100,11 +107,82 @@ class TestSampling:
         both = 0
         for t in range(trials):
             tup = sample_tuple(3, 6, root.derive(t))
-            ps = tup.pairings()
+            ps = pairings(tup)
             both += bool(ps[0] & ps[1]) and bool(ps[0] & ps[2])
         expected = p * p
         sigma = math.sqrt(expected * (1 - expected) / trials)
         assert abs(both / trials - expected) <= 3 * sigma
+
+
+def _fault(images):
+    """The (error type, message) of ``InvolutionTuple.from_images``, or None."""
+    try:
+        InvolutionTuple.from_images(images)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestTupleArray:
+    """A tuple is one read-only image array, checked by one vectorized test."""
+
+    # Type and message of each malformed input, as raised before the tuple
+    # became an array (one FpfInvolution per row, then the degree check).
+    MALFORMED = [
+        ([], ArityError, "at least one involution required"),
+        ([[]], DegreeError, "degree must be positive"),
+        ([[2, 1], [2, 1, 4, 3]], DegreeError, "entry degree mismatch"),
+        ([[2, 1, 4, 3], [1]], DegreeError, "fixed-point-free involutions have even degree"),
+        ([[2, 1, 3]], DegreeError, "fixed-point-free involutions have even degree"),
+        ([[1, 2, 4, 3]], DegreeError, "point 1 is fixed"),
+        ([[2, 1, 4, 3], [2, 1, 3, 4]], DegreeError, "point 3 is fixed"),
+        ([[2, 2, 4, 3]], DegreeError, "[2, 2, 4, 3] is not a bijection of 1..4"),
+        ([[2, 3, 4, 1]], DegreeError, "not an involution"),
+        ([[0, 1, 4, 3]], DegreeError, "[0, 1, 4, 3] is not a bijection of 1..4"),
+        ([[2, 1, 4, 5]], DegreeError, "[2, 1, 4, 5] is not a bijection of 1..4"),
+        (
+            [[2, 1, 4, 10**30]],
+            DegreeError,
+            "[2, 1, 4, 1000000000000000000000000000000] is not a bijection of 1..4",
+        ),
+        (
+            [[2, 1, 4, -(10**30)]],
+            DegreeError,
+            "[2, 1, 4, -1000000000000000000000000000000] is not a bijection of 1..4",
+        ),
+    ]
+
+    @pytest.mark.parametrize("images, error, message", MALFORMED)
+    def test_malformed_images_keep_their_errors(self, images, error, message):
+        assert _fault(images) == (error, message)
+
+    def test_single_entry_mutations_match_the_row_checks(self):
+        # every one-entry replacement, in range or not, of two small tuples
+        checked = rejected = 0
+        for tup in (sample_tuple(2, 4, RngState(8)), EXAMPLE):
+            base = tup.images.tolist()
+            for c, k in itertools.product(range(tup.m), range(tup.n)):
+                for v in (-2 * tup.n, *range(-1, tup.n + 3)):
+                    images = [list(row) for row in base]
+                    images[c][k] = v
+                    expected = involution_rows_fault(images)
+                    assert _fault(images) == expected
+                    checked += 1
+                    rejected += expected is not None
+        assert checked == 8 * 9 + 18 * 11 and rejected == checked - 8 - 18
+
+    def test_images_are_one_read_only_array(self):
+        src = sample_tuple(3, 8, RngState(3)).images.copy()
+        tup = InvolutionTuple(src)
+        assert tup.images.dtype == np.int64 and tup.images.shape == (3, 8) == (tup.m, tup.n)
+        with pytest.raises(ValueError):
+            tup.images[0, 0] = 1
+        src[[0, 1]] = src[[1, 0]]  # the tuple holds its own copy
+        assert tup != InvolutionTuple(src) and tup == InvolutionTuple(src[[1, 0, 2]])
+        assert hash(tup) == hash(InvolutionTuple(src[[1, 0, 2]]))
+        assert [e.images for e in tup.entries] == [tuple(row) for row in tup.images.tolist()]
+        assert all(isinstance(e, FpfInvolution) for e in tup.entries)
+        assert match_graph(tup).images is tup.images
 
 
 class TestMatchings:
@@ -520,7 +598,7 @@ class TestMonteCarlo:
     def test_enumeration_matches_direct_average(self):
         # all estimands agree exactly with exhaustive enumeration at (2, 4)
         pool = list(enumerate_tuples(2, 4))
-        share = Fraction(sum(bool(t.pairings()[0] & t.pairings()[1]) for t in pool), len(pool))
+        share = Fraction(sum(bool(pairings(t)[0] & pairings(t)[1]) for t in pool), len(pool))
         result = monte_carlo("orbit_share", 2, 4, 0, RngState(0))
         assert Fraction(result.exact_repr["share_probability"]) == share
         mean_m = Fraction(sum(match_statistic(t) for t in pool), len(pool))
@@ -580,6 +658,51 @@ class TestMonteCarlo:
         assert list(result.stats) == list(rows[0])
         for name, stat in result.stats.items():
             assert stat.mean == sum(row[name] for row in rows) / trials
+
+    def test_certificate_rates_read_the_batch_sampler(self, monkeypatch):
+        # the same rows as sample_tuple(rng.derive(t)), drawn by the batch sampler
+        expected = monte_carlo("certificate_rates", 3, 6, 40, RngState(6)).to_dict()
+
+        def refuse(*args):
+            raise AssertionError("sample_tuple ran")
+
+        monkeypatch.setattr(randmodel, "sample_tuple", refuse)
+        assert monte_carlo("certificate_rates", 3, 6, 40, RngState(6)).to_dict() == expected
+
+    def test_batches_are_bounded_in_memory(self):
+        batch = next(_image_batches(2, 20000, 1000, RngState(0)))
+        assert batch.shape[1:] == (2, 20000)
+        assert 1 <= len(batch) and batch.nbytes <= 64 * 2**20
+        # at the benchmark's (6, 200) a batch still holds 4096 trials
+        assert len(next(_image_batches(6, 200, 5000, RngState(0)))) == 4096
+        assert len(next(_image_batches(3, 4, 0, RngState(0)))) == 27
+
+    @pytest.mark.parametrize("kind", ["expected_M", "certificate_rates"])
+    def test_one_batch_alive_at_a_time(self, monkeypatch, kind):
+        batches = randmodel._image_batches
+        alive = []
+
+        def watched(*args):
+            for imgs in batches(*args):
+                assert not any(ref() is not None for ref in alive)
+                alive.append(weakref.ref(imgs))
+                yield imgs
+                del imgs
+
+        monkeypatch.setattr(randmodel, "_CHUNK_ENTRIES", 5 * 3 * 6)
+        monkeypatch.setattr(randmodel, "_image_batches", watched)
+        monte_carlo(kind, 3, 6, 23, RngState(1))
+        assert len(alive) == 5
+
+    @pytest.mark.parametrize(
+        "kind, m, n, trials",
+        [("expected_M", 3, 8, 700), ("certificate_rates", 3, 6, 30), ("overlap_rate", 3, 6, 0)],
+    )
+    def test_documents_do_not_depend_on_the_chunking(self, monkeypatch, kind, m, n, trials):
+        expected = monte_carlo(kind, m, n, trials, RngState(13)).to_dict()
+        monkeypatch.setattr(randmodel, "_CHUNK_ENTRIES", 7 * m * n)
+        assert len(next(_image_batches(m, n, trials, RngState(13)))) == 7
+        assert monte_carlo(kind, m, n, trials, RngState(13)).to_dict() == expected
 
     def test_certificate_rates_run(self):
         result = monte_carlo("certificate_rates", 3, 6, 50, RngState(6))
