@@ -281,6 +281,11 @@ def enumerate_fpf(n: int) -> Iterator[FpfInvolution]:
 
 def random_fpf(n: int, rng: RngState) -> FpfInvolution:
     """A uniformly random fixed-point-free involution of even degree ``n``."""
+    return FpfInvolution(random_fpf_images(n, rng))
+
+
+def random_fpf_images(n: int, rng: RngState) -> list[int]:
+    """The 1-based image list of :func:`random_fpf`, same draws, unchecked."""
     if n < 2 or n % 2:
         raise DegreeError("n must be even and at least 2")
     slots = list(range(1, n + 1))
@@ -291,7 +296,7 @@ def random_fpf(n: int, rng: RngState) -> FpfInvolution:
         slots[anchor_pos + 1], slots[j] = slots[j], slots[anchor_pos + 1]
         a, b = slots[anchor_pos], slots[anchor_pos + 1]
         images[a - 1], images[b - 1] = b, a
-    return FpfInvolution(images)
+    return images
 
 
 def random_fpf_images_draft(

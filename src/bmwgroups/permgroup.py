@@ -112,11 +112,8 @@ class PermutationGroup:
             if g.degree != self.degree:
                 raise DegreeError("generator degree mismatch")
         self.generators = gens
-        uniq, seen = [], set()
-        for g in gens:
-            if not g.is_identity() and g.images not in seen:
-                seen.add(g.images)
-                uniq.append(g)
+        # first-seen order: the Jordan route's random words index _gens
+        uniq = [g for g in {g.images: g for g in gens}.values() if not g.is_identity()]
         self._gens = tuple(uniq)
         self._gens0 = tuple(tuple(v - 1 for v in g.images) for g in uniq)
         self._gen_arrays: Optional[list[np.ndarray]] = None

@@ -8,15 +8,16 @@ presented group, and runs exact or Monte-Carlo probability computations
 against closed-form values.
 
 A tuple (:class:`InvolutionTuple`) is one read-only ``(m, n)`` array of
-1-based images.  The match graph (:class:`MatchGraph`) holds it and is the
-tuple's single coincidence table: one pass maps each point pair ``k < l``
-to the coordinates mapping ``k`` to ``l`` (at most two of them span one
-square of the structure set).  The triple and overlap witnesses, the
-midpoint check, the shared-orbit statistic, black/white edges, connectivity
-and white balls are read from it.  A derived structure set's b-parts are the
-tuple's image array, and its a-parts differ from the row's own coordinate
-only on black edges.  Every Monte-Carlo kind reads ``(B, m, n)`` batches of
-one sampler, in memory-bounded chunks.
+1-based images, and that array is the match graph (:class:`MatchGraph`):
+the neighbours of point k are ``images[:, k - 1]``.  The graph adds only
+its black edges with their coordinates, from one stable sort of each
+column (at most two coordinates per edge span one square of the structure
+set).  The triple and overlap witnesses, the midpoint check and the
+shared-orbit statistic read the black edges; connectivity and white balls
+walk the array.  A derived structure set's b-parts are the tuple's image
+array, and its a-parts differ from the row's own coordinate only on black
+edges.  Every Monte-Carlo kind reads ``(B, m, n)`` batches of one sampler,
+in memory-bounded chunks.
 
 Certificates (names used in reports):
 
@@ -60,7 +61,7 @@ from .perm import (
     FpfInvolution,
     count_fpf,
     enumerate_fpf,
-    random_fpf,
+    random_fpf_images,
     random_fpf_images_draft,
 )
 from .permgroup import DEFAULT_ORDER_GUARD, GroupClassification, PermutationGroup
@@ -144,7 +145,7 @@ def sample_tuple(m: int, n: int, rng: RngState) -> InvolutionTuple:
     """
     if m < 1:
         raise ArityError("m must be positive")
-    return InvolutionTuple([random_fpf(n, rng).images for _ in range(m)])
+    return InvolutionTuple([random_fpf_images(n, rng) for _ in range(m)])
 
 
 def sample_tuple_images_batch(
@@ -172,7 +173,7 @@ def sample_tuple_images_batch(
     return out
 
 
-# -- the match graph: the tuple's coincidence table ---------------------------------------
+# -- the match graph: the tuple's image array and its black edges -------------------------
 
 
 class TripleWitness(NamedTuple):
@@ -196,33 +197,40 @@ class MatchGraph:
     """Graph on the points 1..n with an edge where some coordinate matches.
 
     An edge {k, l} exists when some coordinate maps k to l; it is black when
-    at least two distinct coordinates do, white otherwise.  Simple graph;
-    fixed points cannot occur (all entries are fixed-point-free).
-    ``edge_coords`` maps each edge ``(k, l)``, ``k < l``, to the coordinates
-    sending k to l, in coordinate order: the coordinates agreeing at a point
-    are exactly those of one edge at it.
+    at least two distinct coordinates do, white otherwise.  The tuple's image
+    array is the graph: the neighbours of point k are ``images[:, k - 1]``.
+    ``black_coords`` maps each black edge ``(k, l)``, ``k < l``, in order, to
+    the coordinates sending k to l, in order: the coordinates agreeing at a
+    point are exactly those of one black edge at it.
     """
 
-    __slots__ = ("m", "n", "images", "edge_coords", "_adj")
+    __slots__ = ("m", "n", "images", "black_coords")
 
     def __init__(self, t: InvolutionTuple):
         self.m, self.n, self.images = t.m, t.n, t.images
-        edge_coords: dict[tuple[int, int], tuple[int, ...]] = {}
-        for idx, row in enumerate(t.images.tolist(), 1):
-            for k, l in enumerate(row, 1):
-                if k < l:
-                    edge_coords[(k, l)] = edge_coords.get((k, l), ()) + (idx,)
-        self.edge_coords = edge_coords
-        self._adj: Optional[dict] = None
+        # Sorted, column k lists the neighbours of point k + 1 with equal ones
+        # side by side and, the sort being stable, their coordinates in order.
+        # A black edge is read once, at its lower end.
+        order = np.argsort(t.images, axis=0, kind="stable")
+        ends = np.take_along_axis(t.images, order, axis=0)
+        ks, rs = np.nonzero(((ends[1:] == ends[:-1]) & (ends[1:] > np.arange(1, self.n + 1))).T)
+        black: dict[tuple[int, int], list[int]] = {}
+        for k, l, c, c2 in zip(
+            ks.tolist(), ends[rs, ks].tolist(), order[rs, ks].tolist(), order[rs + 1, ks].tolist()
+        ):
+            black.setdefault((k + 1, l), [c + 1]).append(c2 + 1)
+        self.black_coords = {edge: tuple(cs) for edge, cs in black.items()}
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edge_coords))
+        """All edges ``(k, l)``, ``k < l``, in order, built on each call."""
+        pairs = {(k, l) for row in self.images.tolist() for k, l in enumerate(row, 1) if k < l}
+        return tuple(sorted(pairs))
 
     def black_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(e for e, cs in self.edge_coords.items() if len(cs) >= 2))
+        return tuple(self.black_coords)
 
     def white_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(e for e, cs in self.edge_coords.items() if len(cs) == 1))
+        return tuple(e for e in self.edges() if e not in self.black_coords)
 
     def triple_witness(self) -> Optional[TripleWitness]:
         """First (point, coordinate triple) with three coordinates agreeing.
@@ -233,7 +241,7 @@ class MatchGraph:
         least ``(k, cs[:3])`` over edges with three or more coordinates.
         """
         return min(
-            (TripleWitness(k, cs[:3]) for (k, _), cs in self.edge_coords.items() if len(cs) >= 3),
+            (TripleWitness(k, cs[:3]) for (k, _), cs in self.black_coords.items() if len(cs) >= 3),
             default=None,
         )
 
@@ -244,11 +252,10 @@ class MatchGraph:
         two pairs may intersect.  The witness holds the two smallest pairs.
         """
         pairs_at: dict[int, list[tuple[int, int]]] = {}
-        for (k, l), cs in self.edge_coords.items():
-            if len(cs) >= 2:
-                pairs = list(itertools.combinations(cs, 2))
-                pairs_at.setdefault(k, []).extend(pairs)
-                pairs_at.setdefault(l, []).extend(pairs)
+        for (k, l), cs in self.black_coords.items():
+            pairs = list(itertools.combinations(cs, 2))
+            pairs_at.setdefault(k, []).extend(pairs)
+            pairs_at.setdefault(l, []).extend(pairs)
         point = min((p for p, pairs in pairs_at.items() if len(pairs) >= 2), default=None)
         if point is None:
             return None
@@ -268,7 +275,7 @@ class MatchGraph:
         if m < 3:
             raise ArityError("midpoint property needs at least 3 coordinates")
         shared = [[i == j for j in range(m)] for i in range(m)]
-        for cs in self.edge_coords.values():
+        for cs in self.black_coords.values():
             for i, j in itertools.combinations(cs, 2):
                 shared[i - 1][j - 1] = shared[j - 1][i - 1] = True
         for i, i2 in itertools.combinations(range(m), 2):
@@ -279,10 +286,11 @@ class MatchGraph:
     def match_statistic(self) -> int:
         """Total number of shared orbits over all coordinate pairs.
 
-        An edge with coordinates ``cs`` is shared by C(|cs|, 2) pairs, so the
-        total equals the black-edge count exactly without triple matchings.
+        A black edge with coordinates ``cs`` is shared by C(|cs|, 2) pairs,
+        so the total equals the black-edge count exactly without triple
+        matchings.
         """
-        return sum(math.comb(len(cs), 2) for cs in self.edge_coords.values())
+        return sum(math.comb(len(cs), 2) for cs in self.black_coords.values())
 
     def structure_set(self) -> StructureSet:
         """The structure set with B-side local involutions the tuple's entries.
@@ -293,54 +301,25 @@ class MatchGraph:
         of row c are c except on black edges.  An edge with three coordinates
         raises TripleMatchingError.
         """
-        black = [(edge, cs) for edge, cs in self.edge_coords.items() if len(cs) >= 2]
-        if any(len(cs) >= 3 for _, cs in black):
+        if any(len(cs) >= 3 for cs in self.black_coords.values()):
             raise TripleMatchingError(self.triple_witness())
         a_part = np.repeat(np.arange(1, self.m + 1)[:, None], self.n, axis=1)
-        for (k, l), (c, c2) in black:
+        for (k, l), (c, c2) in self.black_coords.items():
             a_part[c - 1, [k - 1, l - 1]] = c2
             a_part[c2 - 1, [k - 1, l - 1]] = c
         return StructureSet(self.m, self.n, np.stack([a_part, self.images], axis=-1))
 
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        if self._adj is None:
-            adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-            for (u, v) in self.edge_coords:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adj = {v: tuple(ns) for v, ns in adj.items()}
-        return self._adj
-
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        adj = self.adjacency()
-        seen = {1}
+        """Whether a walk from point 1 along the columns reaches every point."""
+        columns = self.images.T.tolist()
+        seen = [False, True] + [False] * (self.n - 1)
         stack = [1]
         while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
+            for y in columns[stack.pop() - 1]:
+                if not seen[y]:
+                    seen[y] = True
                     stack.append(y)
-        return len(seen) == self.n
-
-    def ball(self, center: int, radius: int) -> dict[int, int]:
-        """Distance map of the closed ball around ``center``."""
-        adj = self.adjacency()
-        dist = {center: 0}
-        frontier = [center]
-        d = 0
-        while frontier and d < radius:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in dist:
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
-        return dist
+        return all(seen[1:])
 
 
 def match_graph(t: InvolutionTuple) -> MatchGraph:
@@ -377,25 +356,38 @@ def white_ball_vertex(graph: MatchGraph, radius: int) -> Optional[int]:
 
     An edge lies in the closed ball of b when both endpoints are within
     ``radius`` of b, so a vertex is disqualified exactly when it is within
-    ``radius`` of both endpoints of some black edge.
+    ``radius`` of both endpoints of some black edge.  The balls around all
+    endpoints grow together: bit j of ``reach[x]`` is set once x is within
+    the current distance of endpoint j, and each step ORs in the rows of x's
+    neighbours, one gather per coordinate, until no ball grows.  Edges run
+    in blocks of at most ``_CHUNK_ENTRIES`` points x endpoints.
     """
     if radius < 0:
         raise RangeError("radius must be non-negative")
-    black = graph.black_edges()
-    if not black:
-        return 1 if graph.n >= 1 else None
-    contaminated: set[int] = set()
-    for (u, v) in black:
-        bu = graph.ball(u, radius)
-        bv = graph.ball(v, radius)
-        small, big = (bu, bv) if len(bu) <= len(bv) else (bv, bu)
-        contaminated.update(x for x in small if x in big)
-        if len(contaminated) == graph.n:
+    n = graph.n
+    ends = np.array(graph.black_edges(), dtype=np.int64).reshape(-1, 2) - 1
+    neighbours = graph.images - 1
+    contaminated = np.zeros(n, dtype=bool)
+    per_block = max(1, _CHUNK_ENTRIES // (2 * n))
+    for first in range(0, len(ends), per_block):
+        points, endpoint = np.unique(ends[first:first + per_block], return_inverse=True)
+        j = np.arange(len(points))
+        reach = np.zeros((n, -(-len(points) // 8)), dtype=np.uint8)
+        reach[points, j // 8] = np.left_shift(1, j % 8)
+        gathered = np.empty_like(reach)
+        for _ in range(radius):
+            grown = reach.copy()
+            for row in neighbours:
+                grown |= reach.take(row, axis=0, out=gathered)
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        balls = np.unpackbits(reach, axis=1, count=len(points), bitorder="little").view(bool)
+        u, v = endpoint.reshape(-1, 2).T
+        contaminated |= (balls[:, u] & balls[:, v]).any(axis=1)
+        if contaminated.all():
             return None
-    for b in range(1, graph.n + 1):
-        if b not in contaminated:
-            return b
-    return None
+    return int(np.argmin(contaminated)) + 1
 
 
 # -- certificates ---------------------------------------------------------------------------
@@ -736,7 +728,8 @@ _STATISTICS = {
 }
 
 _CHUNK = 4096  # at most B trials per batch
-_CHUNK_ENTRIES = 1 << 23  # at most B m n image entries (64 MiB) per batch
+# at most B m n image entries (64 MiB) per batch, n x endpoints per white-ball block
+_CHUNK_ENTRIES = 1 << 23
 
 
 def _image_batches(m: int, n: int, trials: int, rng: RngState) -> Iterator[np.ndarray]:

@@ -244,13 +244,15 @@ class StructureSet:
         (``alpha_i(k)`` = b-part of the partner of ``(i, k)``: row ``i`` of
         the b-parts); side "A" returns one permutation of ``{1..m}`` per
         b-label (column ``k`` of the a-parts).  All returned permutations are
-        involutions, possibly with fixed points.
+        involutions, possibly with fixed points.  Equal rows or columns share
+        one :class:`Permutation`, built once.
         """
-        if side == "B":
-            return tuple(Permutation(row) for row in self._partners[..., 1].tolist())
-        if side == "A":
-            return tuple(Permutation(col) for col in self._partners[..., 0].T.tolist())
-        raise ValueError("side must be 'A' or 'B'")
+        if side not in ("A", "B"):
+            raise ValueError("side must be 'A' or 'B'")
+        table = self._partners[..., 1] if side == "B" else self._partners[..., 0].T
+        rows = list(map(tuple, table.tolist()))
+        perms = {row: Permutation(row) for row in dict.fromkeys(rows)}
+        return tuple(perms[row] for row in rows)
 
     def transpose(self) -> "StructureSet":
         """Swap the roles of the two sides: ``f'(k, i) = (l, j)``."""

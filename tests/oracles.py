@@ -4,7 +4,8 @@ Everything here recomputes expected values from first principles, without
 touching the implementation paths under test: permutation filtering instead
 of backtracking enumeration, multiplication closures instead of stabilizer
 chains, partition scans instead of union-find block refinement, per-vertex
-breadth-first searches instead of the contaminated-set computation,
+and per-point breadth-first searches over the pairings instead of the
+bit-parallel white balls and the column walk of the match graph,
 coincidence scans of image arrays instead of local-action groups or the
 match graph, one scalar tuple at a time instead of batched image-array
 statistics, listed structure sets and a relabeling-orbit search instead of
@@ -314,6 +315,39 @@ def enumerate_tuples(m, n):
 def pairings(t):
     """The 2-point orbits of each coordinate of ``t`` as sorted pairs."""
     return tuple(pairing(e) for e in t.entries)
+
+
+def edge_colours_by_pairings(t):
+    """Each match-graph edge ``(lo, hi)`` -> whether it is black, in edge order.
+
+    An edge is a pair in some coordinate's pairing; it is black when two or
+    more pairings contain it.
+    """
+    counts = {}
+    for pairs in pairings(t):
+        for edge in pairs:
+            counts[edge] = counts.get(edge, 0) + 1
+    return {edge: count >= 2 for edge, count in sorted(counts.items())}
+
+
+def match_graph_connected_by_bfs(t):
+    """Whether the match graph is connected, by a point BFS over the pairings."""
+    adj = {v: [] for v in range(1, t.n + 1)}
+    for pairs in pairings(t):
+        for u, v in pairs:
+            adj[u].append(v)
+            adj[v].append(u)
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen) == t.n
 
 
 def involution_rows_fault(images):

@@ -47,6 +47,17 @@ KLEIN = group(4, cyc(4, (1, 2), (3, 4)), cyc(4, (1, 3), (2, 4)))
 DIHEDRAL4 = group(4, cyc(4, (1, 2, 3, 4)), cyc(4, (1, 3)))
 
 
+class TestGenerators:
+    def test_distinct_non_identity_generators_keep_first_seen_order(self):
+        a, b, c = cyc(5, (1, 2)), cyc(5, (1, 2, 3, 4, 5)), cyc(5, (2, 3))
+        e = Permutation.identity(5)
+        gens = [e, b, a, Permutation(b.images), e, c, a, b, Permutation(c.images)]
+        g = PermutationGroup(5, gens)
+        assert [h.images for h in g._gens] == [b.images, a.images, c.images]
+        assert g.generators == tuple(gens)
+        assert PermutationGroup(5, [e, e])._gens == ()
+
+
 class TestOrder:
     def test_sym5(self):
         assert group_order(SYM5) == 120 == closure_order(SYM5.generators)

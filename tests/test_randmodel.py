@@ -41,8 +41,10 @@ from bmwgroups.randmodel import (
 from bmwgroups.rng import RngState
 
 from .oracles import (
+    edge_colours_by_pairings,
     enumerate_tuples,
     involution_rows_fault,
+    match_graph_connected_by_bfs,
     match_statistic_by_pairings,
     midpoint_by_pairings,
     overlapping_matches_by_scan,
@@ -301,6 +303,24 @@ class TestMatchGraph:
             else:
                 assert len(g.black_edges()) < match_statistic(tup)
 
+    @pytest.mark.parametrize(
+        "m, n, trial, connected, white",
+        [
+            # values recorded from the earlier dict-and-BFS match graph
+            (2, 20000, 0, False, [1, 1, 1]),
+            (2, 20000, 2, False, [1, 1, 1]),
+            (2, 20000, 144, True, [1, 1, 1]),
+            (40, 2000, 0, True, [1, None, None]),
+            (40, 2000, 3, True, [2, None, None]),
+            (100, 400, 0, True, [None, None, None]),
+            (100, 400, 1, True, [None, None, None]),
+        ],
+    )
+    def test_pinned_off_the_benchmark_shapes(self, m, n, trial, connected, white):
+        g = match_graph(sample_tuple(m, n, RngState(31).derive(trial)))
+        assert g.is_connected() is connected
+        assert [white_ball_vertex(g, r) for r in (1, 2, 6)] == white
+
     def test_statistic_invariant_under_simultaneous_conjugation(self):
         root = RngState(99)
         for t in range(30):
@@ -352,6 +372,23 @@ class TestCoincidenceTable:
         assert seen["tuples"] == 1 + 9 + 27 + 81 + 15**3 + 900
         assert min(seen.values()) > 0
 
+    def test_graph_reads_match_pairing_oracles(self):
+        seen = {"connected": 0, "disconnected": 0, "white_ball": 0, "no_white_ball": 0}
+        for tup in self._tuples():
+            g = match_graph(tup)
+            colours = edge_colours_by_pairings(tup)
+            assert g.black_edges() == tuple(e for e, black in colours.items() if black)
+            assert g.white_edges() == tuple(e for e, black in colours.items() if not black)
+            connected = g.is_connected()
+            assert connected == match_graph_connected_by_bfs(tup)
+            seen["connected" if connected else "disconnected"] += 1
+            if tup.n <= 12:
+                for radius in (0, 1, 2, 6):
+                    vertex = white_ball_vertex(g, radius)
+                    assert vertex == white_ball_exists_by_bfs(tup.n, colours, radius)
+                    seen["white_ball" if vertex else "no_white_ball"] += 1
+        assert min(seen.values()) > 0
+
 
 def _random_perm(degree, rng):
     images = list(range(1, degree + 1))
@@ -377,8 +414,9 @@ class TestWhiteBall:
         for t in range(60):
             tup = sample_tuple(3, 10, root.derive(t))
             g = match_graph(tup)
-            edges = {e: len(cs) >= 2 for e, cs in g.edge_coords.items()}
-            for radius in (0, 1, 2, 6):
+            edges = edge_colours_by_pairings(tup)
+            # a radius past every eccentricity stops when the balls stop growing
+            for radius in (0, 1, 2, 6, 10**12):
                 assert white_ball_vertex(g, radius) == white_ball_exists_by_bfs(
                     10, edges, radius
                 )
@@ -387,6 +425,21 @@ class TestWhiteBall:
         g = match_graph(EXAMPLE)
         with pytest.raises(RangeError):
             white_ball_vertex(g, -1)
+
+    def test_one_edge_blocks_change_nothing(self, monkeypatch):
+        root = RngState(8)
+        graphs = [
+            match_graph(sample_tuple(m, n, root.derive(t)))
+            for m, n in ((6, 200), (12, 40))
+            for t in range(50)
+        ]
+        expected = [[white_ball_vertex(g, r) for r in (1, 2, 6)] for g in graphs]
+        # a budget of 1 leaves one black edge per block
+        monkeypatch.setattr(randmodel, "_CHUNK_ENTRIES", 1)
+        assert [[white_ball_vertex(g, r) for r in (1, 2, 6)] for g in graphs] == expected
+        flat = [v for row in expected for v in row]
+        assert None in flat and any(flat)
+        assert min(len(g.black_edges()) for g in graphs) > 1
 
 
 class TestIrrCertificate:
@@ -616,12 +669,10 @@ class TestMonteCarlo:
     def test_enumeration_certificate_rates(self):
         result = monte_carlo("certificate_rates", 2, 4, 0, RngState(0))
         pool = list(enumerate_tuples(2, 4))
-        connected = Fraction(
-            sum(match_graph(t).is_connected() for t in pool), len(pool)
-        )
+        connected = Fraction(sum(match_graph_connected_by_bfs(t) for t in pool), len(pool))
         assert Fraction(result.exact_repr["connected"]) == connected
         black = Fraction(
-            sum(bool(match_graph(t).black_edges()) for t in pool), len(pool)
+            sum(any(edge_colours_by_pairings(t).values()) for t in pool), len(pool)
         )
         assert Fraction(result.exact_repr["has_black_edge"]) == black
 

@@ -182,6 +182,14 @@ class TestLocalInvolutions:
         assert all(p.is_identity() for p in s.local_involutions("B"))
         assert all(p.is_identity() for p in s.local_involutions("A"))
 
+    def test_equal_rows_and_columns_share_one_permutation(self):
+        for s in iter_structure_sets(2, 3):
+            b_side, a_side = s.local_involutions("B"), s.local_involutions("A")
+            for i, k in itertools.product(range(1, 3), range(1, 4)):
+                assert s.partner(i, k) == (a_side[k - 1](i), b_side[i - 1](k))
+            for perms in (b_side, a_side):
+                assert len({id(p) for p in perms}) == len({p.images for p in perms})
+
     def test_always_involutions(self):
         for s in iter_structure_sets(2, 3):
             for p in s.local_involutions("B") + s.local_involutions("A"):
