@@ -48,6 +48,13 @@ class Permutation:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation from an int tuple already known to be a bijection of 1..d."""
+        obj = object.__new__(cls)
+        obj._images = images
+        return obj
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(1, degree + 1))
 

@@ -65,7 +65,8 @@ from .perm import (
     random_fpf_images_draft,
 )
 from .permgroup import DEFAULT_ORDER_GUARD, GroupClassification, PermutationGroup
-from .rng import GAMMA, RngState, mix64, mix64_array
+from . import rng as rng_module
+from .rng import GAMMA, RngState, mix64, mix64_array, raw_block
 from .structure import StructureSet
 
 DEFAULT_BALL_RADIUS = 6
@@ -142,10 +143,39 @@ def sample_tuple(m: int, n: int, rng: RngState) -> InvolutionTuple:
     coordinates before it; without a rejection these are the draws
     ``[c * n/2, (c+1) * n/2)`` of the stream.  The whole tuple is a pure
     function of the rng seed.
+
+    Those ``m * n/2`` words are computed as one block and checked against
+    every step's rejection limit at once; step ``s`` has bound ``n - 1 - 2s``
+    in each coordinate.  Without a rejection only the slot swaps of
+    :func:`~bmwgroups.perm.random_fpf_images` run in Python.  With one, the
+    tuple is drawn by that scalar loop from the untouched state, as it is the
+    authoritative semantics.
     """
     if m < 1:
         raise ArityError("m must be positive")
-    return InvolutionTuple([random_fpf_images(n, rng) for _ in range(m)])
+    if n < 2 or n % 2:
+        raise DegreeError("n must be even and at least 2")
+    steps = n // 2
+    words = raw_block(rng.seed, rng.index, m * steps).reshape(m, steps)
+    bounds = np.arange(n - 1, 0, -2, dtype=np.uint64)
+    # randbelow(b) rejects u >= limit, that is u > limit - 1, which fits in 64 bits
+    highest = [rng_module.rejection_limit(b) - 1 for b in bounds.tolist()]
+    if (words > np.array(highest, dtype=np.uint64)).any():
+        return InvolutionTuple([random_fpf_images(n, rng) for _ in range(m)])
+    targets = (words % bounds).astype(np.int64) + np.arange(1, n, 2)
+    slots = []
+    for row in targets.tolist():
+        s = list(range(n))
+        for a, j in zip(range(1, n, 2), row):
+            s[a], s[j] = s[j], s[a]
+        slots.append(s)
+    slots = np.array(slots, dtype=np.int64)
+    anchors, partners = slots[:, 0::2], slots[:, 1::2]
+    images = np.empty((m, n), dtype=np.int64)
+    np.put_along_axis(images, anchors, partners + 1, axis=1)
+    np.put_along_axis(images, partners, anchors + 1, axis=1)
+    rng.index += m * steps
+    return InvolutionTuple(images)
 
 
 def sample_tuple_images_batch(
@@ -553,7 +583,9 @@ def irr_certificate(
         midpoint=None if mid is None else mid.holds,
         midpoint_witness=None if mid is None else mid.failing,
         white_ball_vertex=white_ball_vertex(graph, radius),
-        connected=graph.is_connected(),
+        # the B-side generators are the tuple's rows, so the group is
+        # transitive exactly when the match graph is connected
+        connected=graph.is_connected() if b_cls is None else b_cls.is_transitive,
         has_black_edge=bool(graph.black_edges()),
         match_statistic=graph.match_statistic(),
         a_local=a_cls,

@@ -245,13 +245,20 @@ class StructureSet:
         the b-parts); side "A" returns one permutation of ``{1..m}`` per
         b-label (column ``k`` of the a-parts).  All returned permutations are
         involutions, possibly with fixed points.  Equal rows or columns share
-        one :class:`Permutation`, built once.
+        one :class:`Permutation`, built once.  The structure-set laws make
+        every row a bijection; one test of the whole table checks it, and a
+        faulty row raises the :class:`Permutation` error.
         """
         if side not in ("A", "B"):
             raise ValueError("side must be 'A' or 'B'")
         table = self._partners[..., 1] if side == "B" else self._partners[..., 0].T
+        d = table.shape[1]
+        bijective = (np.sort(table, axis=1) == np.arange(1, d + 1)).all(axis=1)
+        if not bijective.all():
+            row = table[int(bijective.argmin())].tolist()
+            raise DegreeError(f"{row} is not a bijection of 1..{d}")
         rows = list(map(tuple, table.tolist()))
-        perms = {row: Permutation(row) for row in dict.fromkeys(rows)}
+        perms = {row: Permutation._unchecked(row) for row in dict.fromkeys(rows)}
         return tuple(perms[row] for row in rows)
 
     def transpose(self) -> "StructureSet":

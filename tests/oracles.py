@@ -10,8 +10,9 @@ coincidence scans of image arrays instead of local-action groups or the
 match graph, one scalar tuple at a time instead of batched image-array
 statistics, listed structure sets and a relabeling-orbit search instead of
 the census DP and Burnside's lemma, one ``FpfInvolution`` per row instead of
-the vectorized tuple check, and listed tuples instead of the batched
-enumeration.
+the vectorized tuple check, listed tuples instead of the batched
+enumeration, and one ``randbelow`` call per sampler step instead of the
+block-drawn tuple.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from bmwgroups.errors import (
     IndexOutOfRangeError,
     TripleMatchingError,
 )
-from bmwgroups.perm import FpfInvolution, enumerate_fpf, pairing
+from bmwgroups.perm import FpfInvolution, enumerate_fpf, pairing, random_fpf_images
 from bmwgroups.randmodel import (
     InvolutionTuple,
     MidpointResult,
@@ -310,6 +311,15 @@ def enumerate_tuples(m, n):
     pool = list(enumerate_fpf(n))
     for combo in itertools.product(pool, repeat=m):
         yield InvolutionTuple.from_images([e.images for e in combo])
+
+
+def sample_tuple_by_scalar_loop(m, n, rng):
+    """The image rows ``sample_tuple(m, n, rng)`` must return, drawn step by step.
+
+    Each coordinate makes its ``n/2`` ``randbelow`` calls in turn, so ``rng``
+    ends where ``sample_tuple`` must leave it, on every branch.
+    """
+    return [random_fpf_images(n, rng) for _ in range(m)]
 
 
 def pairings(t):

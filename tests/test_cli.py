@@ -118,6 +118,14 @@ class TestSample:
             "dc066b3b265af98bd34f2fa03fc6b0b5299f9e95ef469e8cb89434b23cd77667"
         )
 
+    def test_count_three_seed_five_bytes_pinned(self, capsys):
+        # three tuples from one stream: each starts where the last one ended
+        code, out, _err = run(capsys, "sample", "--m", "6", "--n", "200", "--count", "3", "--seed", "5")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a8c5d0c3554c27ade105e8cc946ef55435829093e20728fb14c3f96b49ab5e50"
+        )
+
     def test_degree_beyond_m_to_the_fifth(self, capsys, tmp_path):
         # 7778 is the smallest even degree above 6^5
         out_file = tmp_path / "big.json"

@@ -49,6 +49,7 @@ from .oracles import (
     midpoint_by_pairings,
     overlapping_matches_by_scan,
     pairings,
+    sample_tuple_by_scalar_loop,
     scalar_mc_values,
     structure_set_by_squares,
     triple_matchings_by_scan,
@@ -114,6 +115,67 @@ class TestSampling:
         expected = p * p
         sigma = math.sqrt(expected * (1 - expected) / trials)
         assert abs(both / trials - expected) <= 3 * sigma
+
+
+class TestBlockSampler:
+    """``sample_tuple`` draws the scalar loop's tuple from one block of words.
+
+    Start indices vary, as when one stream draws several tuples in turn.
+    """
+
+    @staticmethod
+    def _draw_both(m, n, seed, start):
+        state, ref = RngState(seed, start), RngState(seed, start)
+        tup = sample_tuple(m, n, state)
+        assert tup.images.tolist() == sample_tuple_by_scalar_loop(m, n, ref)
+        assert state.index == ref.index
+        return state.index - start
+
+    @pytest.mark.parametrize(
+        "m, n, trials", [(1, 2, 50), (3, 10, 50), (12, 40, 50), (6, 200, 50), (6, 7778, 3)]
+    )
+    def test_equals_scalar_loop(self, m, n, trials):
+        root = RngState(404)
+        for t in range(trials):
+            assert self._draw_both(m, n, root.derive(t).seed, 7 * t) == m * (n // 2)
+
+    def test_equals_scalar_loop_on_the_rejection_branch(self, monkeypatch):
+        # about one draw in 16 is rejected; the limit is read at call time
+        real = rng_module.rejection_limit
+        monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
+        root = RngState(405)
+        advances = []
+        for m, n, trials in ((1, 2, 50), (3, 10, 50), (12, 40, 50), (6, 200, 50), (6, 7778, 2)):
+            for t in range(trials):
+                used = self._draw_both(m, n, root.derive(t).seed, 5 * t)
+                advances.append(used > m * (n // 2))
+        assert sum(advances) > len(advances) // 4  # the fallback ran
+        assert not all(advances)  # and so did the block path
+
+    def test_block_path_makes_no_randbelow_call(self, monkeypatch):
+        calls = []
+        real = RngState.randbelow
+
+        def counted(self, bound):
+            calls.append(bound)
+            return real(self, bound)
+
+        monkeypatch.setattr(RngState, "randbelow", counted)
+        for seed in range(20):
+            state = RngState(seed)
+            sample_tuple(6, 200, state)
+            assert state.index == 600
+        assert calls == []
+
+    def test_errors_keep_their_order_and_messages(self):
+        state = RngState(3)
+        for n in (0, 3, 6):
+            with pytest.raises(ArityError, match="^m must be positive$"):
+                sample_tuple(0, n, state)
+        for n in (0, 3, 7):
+            with pytest.raises(DegreeError, match="^n must be even and at least 2$"):
+                sample_tuple(2, n, state)
+        assert state.index == 0
 
 
 def _fault(images):
@@ -460,6 +522,20 @@ class TestIrrCertificate:
         assert rep.white_ball_vertex is None
         assert rep.has_black_edge
         assert not rep.connected
+
+    def test_connected_is_the_match_graph_on_both_branches(self):
+        # with a structure set the field is read off the B-side group
+        tuples = list(enumerate_tuples(3, 4)) + list(enumerate_tuples(2, 6))
+        root = RngState(2718)
+        for m, n in ((2, 8), (3, 6), (4, 12), (6, 20)):
+            tuples += [sample_tuple(m, n, root.derive(1000 * m + t)) for t in range(60)]
+        seen = set()
+        for tup in tuples:
+            rep = irr_certificate(tup)
+            connected = match_graph(tup).is_connected()
+            assert rep.connected == connected == match_graph_connected_by_bfs(tup)
+            seen.add((rep.no_triple_matchings, connected))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_radius_zero_flips_only_white_ball(self):
         base = irr_certificate(EXAMPLE)

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from bmwgroups.errors import (
@@ -13,7 +14,9 @@ from bmwgroups.errors import (
 )
 from bmwgroups.perm import Permutation
 from bmwgroups.permgroup import PermutationGroup
+from bmwgroups import radu
 from bmwgroups.radu import delta
+from bmwgroups.randmodel import sample_tuple, structure_set_from_tuple
 from bmwgroups.rng import RngState
 from bmwgroups.structure import (
     PartialStructureSet,
@@ -189,6 +192,51 @@ class TestLocalInvolutions:
                 assert s.partner(i, k) == (a_side[k - 1](i), b_side[i - 1](k))
             for perms in (b_side, a_side):
                 assert len({id(p) for p in perms}) == len({p.images for p in perms})
+
+    @staticmethod
+    def _sets_from_every_constructor():
+        rng = RngState(77)
+        sets = [delta(), all_diagonal(3, 4)]
+        sets += [validate(s.m, s.n, s.to_squares()) for s in sets]
+        sets += [StructureSet(s.m, s.n, s.encoding()) for s in sets]
+        sets += [structure_set_from_tuple(sample_tuple(2, 12, rng.derive(t))) for t in range(5)]
+        sets += [radu.extension(13, 14), radu.extension(14, 16, radu.random_filler(14, 16, rng))]
+        sets += [radu.base_partial_set(13, 14).complete_with_diagonal()]
+        sets += [
+            PartialStructureSet.from_squares(4, 5, [(1, 1, 2, 3), (3, 2, 4, 2)]).complete_with_diagonal(),
+            PartialStructureSet(3, 3, {(1, 1): (2, 2), (2, 2): (1, 1), (1, 2): (2, 1), (2, 1): (1, 2)})
+            .complete_with_diagonal(),
+        ]
+        sets += [s.transpose() for s in sets]
+        sets += [relabel(s, random_relabeling(s.m, s.n, rng)) for s in sets]
+        return sets + list(iter_structure_sets(2, 4)) + list(iter_structure_sets(3, 4))
+
+    def test_unchecked_rows_equal_checked_permutations(self):
+        for s in self._sets_from_every_constructor():
+            b_rows = [[s.partner(i, k)[1] for k in range(1, s.n + 1)] for i in range(1, s.m + 1)]
+            a_rows = [[s.partner(i, k)[0] for i in range(1, s.m + 1)] for k in range(1, s.n + 1)]
+            for side, rows in (("B", b_rows), ("A", a_rows)):
+                perms = s.local_involutions(side)
+                assert perms == tuple(Permutation(row) for row in rows)
+                assert all(type(v) is int for p in perms for v in p.images)
+
+    @pytest.mark.parametrize(
+        "side, table, message",
+        [
+            ("B", [[(1, 1), (1, 1)], [(2, 1), (2, 2)]], "[1, 1] is not a bijection of 1..2"),
+            ("A", [[(2, 1), (1, 2)], [(2, 1), (2, 2)]], "[2, 2] is not a bijection of 1..2"),
+        ],
+    )
+    def test_a_table_with_a_repeated_entry_is_refused(self, monkeypatch, side, table, message):
+        def refuse(self, images):
+            raise AssertionError("the checked constructor ran")
+
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        broken = structure._frozen(StructureSet, np.array(table, dtype=np.int64))
+        with pytest.raises(DegreeError) as err:
+            broken.local_involutions(side)
+        assert str(err.value) == message
+        broken.local_involutions("A" if side == "B" else "B")  # the other side is sound
 
     def test_always_involutions(self):
         for s in iter_structure_sets(2, 3):
