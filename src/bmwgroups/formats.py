@@ -34,8 +34,35 @@ _SCHEMA_FILES = {
 
 
 def dumps(doc: dict) -> str:
-    """Deterministic JSON text for a document."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text for a document.
+
+    The text is ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline,
+    byte for byte.  ``indent`` would select the stdlib's pure-Python encoder,
+    slow on long image lists, so this writer joins a list of plain ints in
+    one pass and hands every other scalar to ``json.dumps``.  Keys must be
+    strings.
+    """
+    return _dumps(doc, "\n") + "\n"
+
+
+def _dumps(value, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = map(str, value)
+        else:
+            items = (_dumps(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("document keys must be strings")
+        items = (json.dumps(k) + ": " + _dumps(value[k], inner) for k in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)
 
 
 def load_schema(schema_id: str) -> dict:

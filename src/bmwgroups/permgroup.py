@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -37,7 +36,8 @@ import numpy as np
 
 from .errors import DegreeError, RangeError, ResourceError, UsageError
 from .perm import Permutation
-from .rng import RngState
+from . import rng as rng_module
+from .rng import RngState, raw_block
 
 DEFAULT_ORDER_GUARD = 2000
 DEFAULT_PRIMITIVITY_GUARD = 10_000
@@ -100,37 +100,132 @@ class GroupClassification:
         }
 
 
+def _cycle_lengths(img0: np.ndarray) -> np.ndarray:
+    """The lengths of the cycles of a 0-based image array, one per cycle.
+
+    Pointer doubling labels each point with its cycle minimum: after t
+    rounds ``labels[x]`` is the least of the 2**t points x, g(x), g(g(x)),
+    ... and ``jump`` is g**(2**t), so ceil(log2 d) rounds cover every cycle.
+    """
+    labels, jump = np.arange(len(img0)), img0
+    for _ in range((len(img0) - 1).bit_length()):
+        labels = np.minimum(labels, labels[jump])
+        jump = jump[jump]
+    return np.bincount(labels, minlength=len(img0))[labels == np.arange(len(img0))]
+
+
 class PermutationGroup:
-    """A subgroup of Sym(degree) given by a list of generators."""
+    """A subgroup of Sym(degree) given by a list of generators.
+
+    ``images0`` holds the generators as one read-only (k, degree) int64 array
+    of 0-based images: row i is the i-th distinct non-identity generator, in
+    first-seen order.  The Jordan route's random words index these rows, so
+    their order is part of the output.
+    """
+
+    # write-once analysis caches
+    _rows = _order = _transitive = _two_transitive = _primitive = None
 
     def __init__(self, degree: int, generators: Iterable[Permutation]):
-        self.degree = int(degree)
-        if self.degree < 1:
+        degree = int(degree)
+        if degree < 1:
             raise DegreeError("degree must be positive")
         gens = tuple(generators)
-        for g in gens:
-            if g.degree != self.degree:
-                raise DegreeError("generator degree mismatch")
-        self.generators = gens
-        # first-seen order: the Jordan route's random words index _gens
-        uniq = [g for g in {g.images: g for g in gens}.values() if not g.is_identity()]
-        self._gens = tuple(uniq)
-        self._gens0 = tuple(tuple(v - 1 for v in g.images) for g in uniq)
-        self._gen_arrays: Optional[list[np.ndarray]] = None
-        self._order: Optional[int] = None
-        self._transitive: Optional[bool] = None
-        self._two_transitive: Optional[bool] = None
-        self._primitive: Optional[bool] = None
+        if any(g.degree != degree for g in gens):
+            raise DegreeError("generator degree mismatch")
+        table = np.array([g.images for g in gens], dtype=np.int64).reshape(len(gens), degree)
+        self._init(degree, table - 1, gens)
+
+    @classmethod
+    def _from_images0(cls, degree: int, table: np.ndarray) -> "PermutationGroup":
+        """The group generated by the rows of a (k, degree) array of 0-based images.
+
+        The rows are not checked; each must be a permutation of 0..degree-1.
+        """
+        group = object.__new__(cls)
+        group._init(int(degree), table, None)
+        return group
+
+    def _init(
+        self, degree: int, table: np.ndarray, generators: Optional[tuple[Permutation, ...]]
+    ) -> None:
+        self.degree = degree
+        self._generators = generators
+        moving = table[(table != np.arange(degree)).any(axis=1)].astype(np.int64, copy=False)
+        rows = dict.fromkeys(row.tobytes() for row in moving)  # first-seen order
+        # an array over immutable bytes is read-only
+        self.images0 = np.frombuffer(b"".join(rows), dtype=np.int64).reshape(len(rows), degree)
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        """The generators as given; for a group built from an array, its rows."""
+        if self._generators is None:
+            self._generators = tuple(
+                Permutation._unchecked(tuple(row)) for row in (self.images0 + 1).tolist()
+            )
+        return self._generators
 
     def __repr__(self):
-        return f"PermutationGroup(degree={self.degree}, generators={len(self._gens)})"
+        return f"PermutationGroup(degree={self.degree}, generators={len(self.images0)})"
 
     # -- internals -------------------------------------------------------------
 
-    def _arrays0(self) -> list[np.ndarray]:
-        if self._gen_arrays is None:
-            self._gen_arrays = [np.array(g, dtype=np.int64) for g in self._gens0]
-        return self._gen_arrays
+    def _lists0(self) -> list[list[int]]:
+        """The rows of ``images0`` as lists, for loops that visit one point at a time."""
+        if self._rows is None:
+            self._rows = self.images0.tolist()
+        return self._rows
+
+    def _orbit_labels(self) -> np.ndarray:
+        """The orbit minimum of every point.
+
+        Each round hooks every label onto the least label one generator or
+        inverse step away from its points, then jumps labels to their labels
+        until they settle.  Labels stay in their points' orbits and never
+        exceed them, so at the fixpoint each orbit carries its minimum.
+        Hooking whole labels keeps the rounds few on a long cycle or path.
+        """
+        d = self.degree
+        gens = self.images0
+        inverses = np.empty_like(gens)
+        np.put_along_axis(inverses, gens, np.arange(d), axis=1)
+        # an involution is its own inverse
+        moves = np.concatenate([gens, inverses[(inverses != gens).any(axis=1)]])
+        labels = np.arange(d)
+        while True:
+            hooked = labels.copy()
+            np.minimum.at(hooked, labels, labels[moves].min(axis=0, initial=d))
+            jumped = hooked[hooked]
+            while not np.array_equal(jumped, hooked):
+                hooked, jumped = jumped, jumped[jumped]
+            if np.array_equal(hooked, labels):
+                return labels
+            labels = hooked
+
+    def _has_odd_generator(self) -> bool:
+        """Whether some generator is odd: d minus its cycle count is odd."""
+        return any((self.degree - len(_cycle_lengths(g))) % 2 for g in self.images0)
+
+    def _prime_cycle(self, img0: np.ndarray) -> Optional[int]:
+        """The largest prime p <= d-3 such that a power of ``img0`` is a p-cycle.
+
+        A permutation with a p-cycle whose other cycle lengths p does not
+        divide powers to that p-cycle: raise it to the lcm of the other
+        lengths.  So p counts when it is the only cycle length divisible by
+        p and occurs once.  None when no p counts.
+        """
+        d = self.degree
+        counts = np.bincount(_cycle_lengths(img0))
+        present = np.flatnonzero(counts).tolist()
+        for p in reversed(present):
+            if (
+                p <= d - 3
+                and counts[p] == 1
+                and _is_prime(p)
+                and not any(q % p == 0 for q in present if q != p)
+            ):
+                return p
+        return None
 
     # -- order -----------------------------------------------------------------
 
@@ -148,76 +243,56 @@ class PermutationGroup:
                     f"degree {self.degree} exceeds the stabilizer-chain guard {guard};"
                     " use the jordan strategy instead"
                 )
-            if not self._gens:
+            if not len(self.images0):
                 self._order = 1
             else:
                 self._order = self._order_by_theorem()
             if self._order is None:
                 from .schreier import chain_order
 
-                self._order = chain_order(self.degree, self._gens0)
+                self._order = chain_order(self.degree, self.images0)
         return self._order
 
     def _order_by_theorem(self) -> Optional[int]:
         """The exact order when a classical theorem settles it, else ``None``.
 
         * Every generator a transposition: the group is the direct product of
-          Sym(C) over the components C of the graph whose edges are the
-          transpositions, so the order is the product of the ``|C|!``.
+          Sym(O) over its orbits O, so the order is the product of the
+          ``|O|!``.
         * Jordan (Wielandt, *Finite Permutation Groups*, Thm 13.9;
           Dixon-Mortimer, *Permutation Groups*, Thm 3.3E): a primitive group
           containing a p-cycle, p prime and p <= d-3, contains Alt(d).  The
           p-cycle is a power of a generator or of a product of two generators
-          (:meth:`_prime_cycle_certificate`).  A transitive group with such a
-          p-cycle and 2p > d is primitive, since a block system would need
-          blocks of size >= p > d/2; otherwise :meth:`is_primitive` decides.
-          An odd generator then gives d!, all even ones d!/2.
+          (:meth:`_prime_cycle`).  A transitive group with such a p-cycle and
+          2p > d is primitive, since a block system would need blocks of
+          size >= p > d/2; otherwise :meth:`is_primitive` decides.  An odd
+          generator then gives d!, all even ones d!/2.
 
         ``None`` (intransitive, imprimitive, no certificate, or d < 5) leaves
         the order to the stabilizer chain.
         """
         d = self.degree
-        gens0 = self._gens0
-        moved = [[x for x, y in enumerate(g) if x != y] for g in gens0]
-        if all(len(points) == 2 for points in moved):
-            parent = list(range(d))
-            for a, b in moved:
-                parent[_find(parent, a)] = _find(parent, b)
-            sizes = Counter(_find(parent, x) for x in range(d))
-            return math.prod(math.factorial(size) for size in sizes.values())
+        gens = self.images0
+        if ((gens != np.arange(d)).sum(axis=1) == 2).all():
+            sizes = np.bincount(self._orbit_labels())
+            return math.prod(math.factorial(size) for size in sizes.tolist())
         if d < 5 or not self.is_transitive():
             return None
-        products = ([g[x] for x in h] for h, g in itertools.combinations(gens0, 2))
-        for img0 in itertools.chain(gens0, products):
-            cert = self._prime_cycle_certificate(img0)
-            if cert is not None:
-                break
-        else:
+        products = (g.take(h) for h, g in itertools.combinations(gens, 2))
+        p = next(filter(None, map(self._prime_cycle, itertools.chain(gens, products))), None)
+        if p is None:
             return None
-        if 2 * cert[0] <= d and not (
-            d <= DEFAULT_PRIMITIVITY_GUARD and self.is_primitive()
-        ):
+        if 2 * p <= d and not (d <= DEFAULT_PRIMITIVITY_GUARD and self.is_primitive()):
             return None
         # Alt(d) <= G at d >= 5, so G is also primitive and 2-transitive
         self._primitive = self._two_transitive = True
-        odd = any(g.parity() for g in self._gens)
-        return math.factorial(d) if odd else math.factorial(d) // 2
+        return math.factorial(d) if self._has_odd_generator() else math.factorial(d) // 2
 
     # -- orbit predicates --------------------------------------------------------
 
     def is_transitive(self) -> bool:
         if self._transitive is None:
-            seen = {0}
-            stack = [0]
-            gens0 = self._gens0
-            while stack:
-                x = stack.pop()
-                for g in gens0:
-                    y = g[x]
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            self._transitive = len(seen) == self.degree
+            self._transitive = not self._orbit_labels().any()
         return self._transitive
 
     def is_two_transitive(self) -> bool:
@@ -229,7 +304,7 @@ class PermutationGroup:
                 self._two_transitive = False
             else:
                 d = self.degree
-                gens0 = self._gens0
+                gens0 = self._lists0()
                 start = 0 * d + 1  # the ordered pair (1, 2)
                 seen = {start}
                 stack = [start]
@@ -272,7 +347,7 @@ class PermutationGroup:
         if not (2 <= w <= self.degree):
             raise RangeError("w must lie in 2..degree")
         parent = list(range(self.degree))
-        gens0 = self._gens0
+        gens0 = self._lists0()
         parent[w - 1] = 0
         queue = [(0, w - 1)]
         classes = self.degree - 1
@@ -289,59 +364,28 @@ class PermutationGroup:
 
     # -- alternating-group recognition --------------------------------------------
 
-    def _word_element(self, rng: RngState, max_word_len: int) -> list[int]:
-        gens = self._arrays0()
-        length = 1 + rng.randbelow(max_word_len)
-        cur = gens[rng.randbelow(len(gens))].copy()
-        for _ in range(length - 1):
-            cur = gens[rng.randbelow(len(gens))][cur]
-        return cur.tolist()
+    def _word_element(self, rng: RngState, max_word_len: int) -> np.ndarray:
+        """A random word in the generators, as its 0-based image array.
 
-    def _prime_cycle_certificate(self, img0: list[int]):
-        """A (p, power-element) pair certifying a p-cycle in the group, or None.
-
-        Scans the cycle type of ``img0`` for a prime-length cycle with
-        p <= d-3 such that no other cycle length is divisible by p; raising
-        to the lcm of the other lengths then isolates a p-cycle.
+        The word takes ``1 + randbelow(max_word_len)`` letters, each
+        ``randbelow(k)``, and is their product from the first letter on.
+        The letters' raw words are computed as one block and checked against
+        the rejection limit at once; on a rejection the scalar loop draws
+        them from the untouched state, so the draws are always its draws.
         """
-        d = self.degree
-        seen = [False] * d
-        cycles = []
-        for s in range(d):
-            if not seen[s]:
-                seen[s] = True
-                cyc = [s]
-                t = img0[s]
-                while t != s:
-                    seen[t] = True
-                    cyc.append(t)
-                    t = img0[t]
-                cycles.append(cyc)
-        lengths = [len(c) for c in cycles]
-        best = None
-        for i, p in enumerate(lengths):
-            if p < 2 or p > d - 3 or not _is_prime(p):
-                continue
-            if any(j != i and lengths[j] % p == 0 for j in range(len(lengths))):
-                continue
-            if best is None or p > best[1]:
-                best = (i, p)
-        if best is None:
-            return None
-        i, p = best
-        other_lcm = 1
-        for j, length in enumerate(lengths):
-            if j != i:
-                other_lcm = math.lcm(other_lcm, length)
-        power = [0] * d
-        for j, cyc in enumerate(cycles):
-            r = other_lcm % len(cyc)
-            for pos, x in enumerate(cyc):
-                power[x] = cyc[(pos + r) % len(cyc)]
-        moved = [x for x in range(d) if power[x] != x]
-        if len(moved) != p:  # other cycles did not die; certificate void
-            return None
-        return p, power
+        gens = self.images0
+        k = len(gens)
+        length = 1 + rng.randbelow(max_word_len)
+        words = raw_block(rng.seed, rng.index, length)
+        if (words > np.uint64(rng_module.rejection_limit(k) - 1)).any():
+            letters = [rng.randbelow(k) for _ in range(length)]
+        else:
+            letters = (words % np.uint64(k)).tolist()
+            rng.index += length
+        cur = gens[letters[0]]
+        for i in letters[1:]:
+            cur = gens[i].take(cur)
+        return cur
 
     def contains_alternating(
         self,
@@ -361,17 +405,17 @@ class PermutationGroup:
         jordan
             Semi-decision procedure for degrees beyond the stabilizer-chain
             guard.  Certifies containment from transitivity plus a group
-            element that powers to a p-cycle, p prime <= d-3 (Jordan).  A
-            found p > d/2 additionally certifies primitivity for free: a
-            nontrivial block system would need blocks of size >= p > d/2.
-            Smaller p fall back to the explicit primitivity check when the
-            degree permits.  Returns None when the word budget is exhausted
-            without a certificate.
+            element whose cycle type powers to a p-cycle, p prime <= d-3
+            (Jordan).  A found p > d/2 additionally certifies primitivity for
+            free: a nontrivial block system would need blocks of size
+            >= p > d/2.  Smaller p fall back to the explicit primitivity
+            check when the degree permits.  Returns None when the word budget
+            is exhausted without a certificate.
         """
         d = self.degree
         if strategy not in ("exact", "jordan"):
             raise UsageError(f"unknown strategy {strategy!r}")
-        if not self._gens:
+        if not len(self.images0):
             return d <= 2  # Alt(d) is trivial only for d <= 2
         if strategy == "exact" or d < 5:
             return self.order() >= math.factorial(d) // 2
@@ -381,10 +425,9 @@ class PermutationGroup:
             rng = RngState(_JORDAN_SEED)
         small_p = False
         for _ in range(words):
-            cert = self._prime_cycle_certificate(self._word_element(rng, max_word_len))
-            if cert is None:
+            p = self._prime_cycle(self._word_element(rng, max_word_len))
+            if p is None:
                 continue
-            p, _power = cert
             if 2 * p > d:
                 return True
             small_p = True
@@ -430,8 +473,7 @@ class PermutationGroup:
         contains_alt = self.contains_alternating(
             "jordan", rng=rng, words=words, max_word_len=max_word_len
         )
-        all_even = all(g.parity() == 0 for g in self._gens)
-        if all_even:
+        if not self._has_odd_generator():
             equals_sym = False
         elif contains_alt is True:
             equals_sym = True  # an odd generator rules out G <= Alt(d)

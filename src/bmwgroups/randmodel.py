@@ -13,10 +13,10 @@ the neighbours of point k are ``images[:, k - 1]``.  The graph adds only
 its black edges with their coordinates, from one stable sort of each
 column (at most two coordinates per edge span one square of the structure
 set).  The triple and overlap witnesses, the midpoint check and the
-shared-orbit statistic read the black edges; connectivity and white balls
-walk the array.  A derived structure set's b-parts are the tuple's image
-array, and its a-parts differ from the row's own coordinate only on black
-edges.  Every Monte-Carlo kind reads ``(B, m, n)`` batches of one sampler,
+shared-orbit statistic read the black edges; the white balls walk the
+array, and connectivity is the transitivity of the group of its rows.  A
+derived structure set's b-parts are the tuple's image array, and its
+a-parts differ from the row's own coordinate only on black edges.  Every Monte-Carlo kind reads ``(B, m, n)`` batches of one sampler,
 in memory-bounded chunks.
 
 Certificates (names used in reports):
@@ -67,7 +67,7 @@ from .perm import (
 from .permgroup import DEFAULT_ORDER_GUARD, GroupClassification, PermutationGroup
 from . import rng as rng_module
 from .rng import GAMMA, RngState, mix64, mix64_array, raw_block
-from .structure import StructureSet
+from .structure import StructureSet, _frozen
 
 DEFAULT_BALL_RADIUS = 6
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
@@ -333,23 +333,23 @@ class MatchGraph:
         """
         if any(len(cs) >= 3 for cs in self.black_coords.values()):
             raise TripleMatchingError(self.triple_witness())
+        # valid by construction, so the laws are not checked again
+        return _frozen(StructureSet, np.stack([self._a_parts(), self.images], axis=-1))
+
+    def _a_parts(self) -> np.ndarray:
+        """The (m, n) a-parts of the structure set; needs no triple matchings."""
         a_part = np.repeat(np.arange(1, self.m + 1)[:, None], self.n, axis=1)
         for (k, l), (c, c2) in self.black_coords.items():
             a_part[c - 1, [k - 1, l - 1]] = c2
             a_part[c2 - 1, [k - 1, l - 1]] = c
-        return StructureSet(self.m, self.n, np.stack([a_part, self.images], axis=-1))
+        return a_part
 
     def is_connected(self) -> bool:
-        """Whether a walk from point 1 along the columns reaches every point."""
-        columns = self.images.T.tolist()
-        seen = [False, True] + [False] * (self.n - 1)
-        stack = [1]
-        while stack:
-            for y in columns[stack.pop() - 1]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        return all(seen[1:])
+        """Whether the group generated by the tuple's rows is transitive.
+
+        Its orbits are the components of the graph.
+        """
+        return PermutationGroup._from_images0(self.n, self.images - 1).is_transitive()
 
 
 def match_graph(t: InvolutionTuple) -> MatchGraph:
@@ -558,11 +558,13 @@ def irr_certificate(
     triple = graph.triple_witness()
     overlap = graph.overlap_witness()
     mid = graph.midpoint() if t.m >= 3 else None
+    # The group of the tuple's rows is transitive exactly when the match graph
+    # is connected; without triple matchings it is the B-side local action.
+    b_group = PermutationGroup._from_images0(t.n, t.images - 1)
     a_cls = b_cls = None
     if triple is None:
-        derived = graph.structure_set()
-        a_group = PermutationGroup(t.m, derived.local_involutions("A"))
-        b_group = PermutationGroup(t.n, derived.local_involutions("B"))
+        # the A-side local involutions: the structure set's a-part columns
+        a_group = PermutationGroup._from_images0(t.m, graph._a_parts().T - 1)
         a_cls = a_group.classify("auto", order_guard=order_guard, exact_max_degree=exact_max_degree)
         b_cls = b_group.classify(
             "auto",
@@ -583,9 +585,7 @@ def irr_certificate(
         midpoint=None if mid is None else mid.holds,
         midpoint_witness=None if mid is None else mid.failing,
         white_ball_vertex=white_ball_vertex(graph, radius),
-        # the B-side generators are the tuple's rows, so the group is
-        # transitive exactly when the match graph is connected
-        connected=graph.is_connected() if b_cls is None else b_cls.is_transitive,
+        connected=b_group.is_transitive(),
         has_black_edge=bool(graph.black_edges()),
         match_statistic=graph.match_statistic(),
         a_local=a_cls,

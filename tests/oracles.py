@@ -5,14 +5,16 @@ touching the implementation paths under test: permutation filtering instead
 of backtracking enumeration, multiplication closures instead of stabilizer
 chains, partition scans instead of union-find block refinement, per-vertex
 and per-point breadth-first searches over the pairings instead of the
-bit-parallel white balls and the column walk of the match graph,
+bit-parallel white balls and the orbit labels of the match graph,
 coincidence scans of image arrays instead of local-action groups or the
 match graph, one scalar tuple at a time instead of batched image-array
 statistics, listed structure sets and a relabeling-orbit search instead of
 the census DP and Burnside's lemma, one ``FpfInvolution`` per row instead of
 the vectorized tuple check, listed tuples instead of the batched
-enumeration, and one ``randbelow`` call per sampler step instead of the
-block-drawn tuple.
+enumeration, one ``randbelow`` call per sampler step instead of the
+block-drawn tuple, and a Python cycle walk, a point-by-point orbit search
+and one ``randbelow`` call per letter instead of the array group layer's
+pointer doubling, label hooking and block-drawn Jordan words.
 """
 
 from __future__ import annotations
@@ -101,6 +103,76 @@ def is_two_transitive_by_closure(perms, degree):
     elements = closure([tuple(v - 1 for v in p.images) for p in perms]) if perms else {tuple(range(degree))}
     pairs = {(g[0], g[1]) for g in elements}
     return len(pairs) == degree * (degree - 1)
+
+
+def prime_cycle_by_walk(img0):
+    """The prime p whose p-cycle a power of ``img0`` isolates, or None.
+
+    Walks the cycles of the 0-based image list in Python, takes the largest
+    prime length p <= d-3 that divides no other cycle length, raises the
+    permutation to the lcm of the other lengths and checks that exactly p
+    points still move.
+    """
+    d = len(img0)
+    seen = [False] * d
+    cycles = []
+    for s in range(d):
+        if not seen[s]:
+            seen[s] = True
+            cyc = [s]
+            t = img0[s]
+            while t != s:
+                seen[t] = True
+                cyc.append(t)
+                t = img0[t]
+            cycles.append(cyc)
+    lengths = [len(c) for c in cycles]
+    best = None
+    for i, p in enumerate(lengths):
+        if p < 2 or p > d - 3 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+            continue
+        if any(j != i and lengths[j] % p == 0 for j in range(len(lengths))):
+            continue
+        if best is None or p > best[1]:
+            best = (i, p)
+    if best is None:
+        return None
+    i, p = best
+    other_lcm = math.lcm(*(length for j, length in enumerate(lengths) if j != i))
+    power = [0] * d
+    for cyc in cycles:
+        r = other_lcm % len(cyc)
+        for pos, x in enumerate(cyc):
+            power[x] = cyc[(pos + r) % len(cyc)]
+    assert sum(power[x] != x for x in range(d)) == p
+    return p
+
+
+def orbit_by_search(gens0, start=0):
+    """The orbit of ``start`` under 0-based image lists, by a graph search."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for g in gens0:
+            if g[x] not in seen:
+                seen.add(g[x])
+                stack.append(g[x])
+    return seen
+
+
+def word_by_scalar_loop(gens0, rng, max_word_len):
+    """A Jordan word drawn one ``randbelow`` call per letter, as 0-based images.
+
+    The length is ``1 + randbelow(max_word_len)``; each letter is
+    ``randbelow(k)`` and the word is the product from the first letter on.
+    """
+    length = 1 + rng.randbelow(max_word_len)
+    letters = [rng.randbelow(len(gens0)) for _ in range(length)]
+    cur = list(gens0[letters[0]])
+    for i in letters[1:]:
+        cur = [gens0[i][x] for x in cur]
+    return cur
 
 
 def _set_partitions(items):

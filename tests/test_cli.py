@@ -58,6 +58,46 @@ class TestFormats:
         )
         assert formats.validate_document(doc) == formats.SCHEMA_ESTIMATE
 
+    @staticmethod
+    def _stdlib(doc):
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_dumps_matches_the_stdlib_encoder_on_every_document_kind(self):
+        from bmwgroups import radu
+        from bmwgroups.randmodel import monte_carlo
+
+        tup = sample_tuple(6, 7778, RngState(9))
+        s0 = radu.extension(16, 30)
+        docs = [
+            formats.tuple_document(tup, seed=9),
+            formats.report_document(irr_certificate(tup)),
+            formats.report_document(irr_certificate(example_tuple())),
+            formats.estimate_document(monte_carlo("certificate_rates", 6, 20, 5, RngState(2))),
+            formats.estimate_document(monte_carlo("orbit_share", None, 6, 0, RngState(2))),
+            formats.structure_set_document(s0, families=radu.blueprint(16, 30).families(), seed=7),
+            {"m": 3, "n": 4, "structure_sets": 8452, "relabeling_classes": 164},
+        ]
+        for doc in docs:
+            assert formats.dumps(doc) == self._stdlib(doc)
+
+    def test_dumps_matches_the_stdlib_encoder_on_edge_cases(self):
+        doc = {
+            "empty_list": [],
+            "empty_dict": {},
+            "nested": [[1, 2], [], [[3]], [{}], {"b": [], "a": {}}],
+            "mixed": [1, 2.5, True, None, "x", -7, 10**40],
+            "tuple": (1, (2, 3)),
+            "scalars": [True, False, None],
+            "floats": [float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 1e300],
+            "text": ["ünïcödé ✓", "quote \" backslash \\ tab \t", ""],
+            "ß": {"z": 1, "a": 2, "é": 3},
+            "bools_are_not_ints": [True, 1],
+        }
+        assert formats.dumps(doc) == self._stdlib(doc)
+        assert formats.dumps({}) == self._stdlib({})
+        with pytest.raises(TypeError):
+            formats.dumps({"a": {1: 2}})
+
     def test_bad_documents_rejected(self):
         with pytest.raises(UsageError):
             formats.validate_document({"m": 3})

@@ -1,8 +1,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+import bmwgroups.rng as rng_module
 from bmwgroups import radu, schreier
 from bmwgroups.errors import ResourceError
 from bmwgroups.perm import Permutation
@@ -15,7 +17,12 @@ from bmwgroups.permgroup import (
     is_two_transitive,
     schreier_analysis,
 )
-from bmwgroups.randmodel import match_graph, sample_tuple
+from bmwgroups.randmodel import (
+    irr_certificate,
+    match_graph,
+    sample_tuple,
+    structure_set_from_tuple,
+)
 from bmwgroups.rng import RngState
 
 from .oracles import (
@@ -23,6 +30,9 @@ from .oracles import (
     contains_alternating_by_closure,
     is_primitive_by_partition_scan,
     is_two_transitive_by_closure,
+    orbit_by_search,
+    prime_cycle_by_walk,
+    word_by_scalar_loop,
 )
 
 
@@ -53,9 +63,165 @@ class TestGenerators:
         e = Permutation.identity(5)
         gens = [e, b, a, Permutation(b.images), e, c, a, b, Permutation(c.images)]
         g = PermutationGroup(5, gens)
-        assert [h.images for h in g._gens] == [b.images, a.images, c.images]
+        assert (g.images0 + 1).tolist() == [list(b.images), list(a.images), list(c.images)]
         assert g.generators == tuple(gens)
-        assert PermutationGroup(5, [e, e])._gens == ()
+        assert PermutationGroup(5, [e, e]).images0.shape == (0, 5)
+
+
+def _b_side_group(m, n, seed):
+    """The B-side group of a sampled tuple without triple matchings."""
+    rng = RngState(seed)
+    while True:
+        tup = sample_tuple(m, n, rng)
+        if match_graph(tup).triple_witness() is None:
+            return PermutationGroup._from_images0(n, tup.images - 1)
+
+
+def _from_cycle_type(degree, lengths):
+    """A permutation of the given degree with consecutive cycles of these lengths."""
+    start, cycles = 1, []
+    for length in lengths:
+        cycles.append(tuple(range(start, start + length)))
+        start += length
+    return Permutation.from_cycles(degree, cycles)
+
+
+class TestArrayGroup:
+    """The array layer against the Python walks it replaced, kept in ``oracles``."""
+
+    def test_array_constructor_matches_permutation_constructor(self):
+        a, b = cyc(6, (1, 2)), cyc(6, (3, 4), (5, 6))
+        e = Permutation.identity(6)
+        table = np.array([p.images for p in (e, b, a, b, e)], dtype=np.int64) - 1
+        g = PermutationGroup._from_images0(6, table)
+        assert g.images0.tolist() == PermutationGroup(6, [e, b, a, b, e]).images0.tolist()
+        assert g.generators == (b, a)
+        assert not g.images0.flags.writeable
+
+    @pytest.mark.parametrize("n, count", [(200, 300), (7778, 100)])
+    def test_prime_cycle_matches_walk_on_sampled_words(self, n, count):
+        g = _b_side_group(6, n, n)
+        rng = RngState(7)
+        found = 0
+        for _ in range(count):
+            word = g._word_element(rng, 100)
+            p = g._prime_cycle(word)
+            assert p == prime_cycle_by_walk(word.tolist())
+            found += p is not None
+        assert found  # some words certify
+
+    @pytest.mark.parametrize(
+        "degree, lengths, expected",
+        [
+            (24, (7, 14), None),  # p divides another length
+            (20, (5, 5, 3), 3),  # two 5-cycles; 3 divides nothing else
+            (20, (5, 5), None),
+            (10, (7,), 7),  # p = d - 3
+            (9, (7,), None),  # p = d - 2
+            (9, (5, 2), 5),
+            (30, (11, 13, 2, 4), 13),  # the largest p wins
+            (60, (11, 13, 26), 11),
+            (12, (), None),  # the identity
+        ],
+    )
+    def test_prime_cycle_on_crafted_cycle_types(self, degree, lengths, expected):
+        perm = _from_cycle_type(degree, lengths)
+        img0 = [v - 1 for v in perm.images]
+        assert prime_cycle_by_walk(img0) == expected
+        assert PermutationGroup(degree, [perm])._prime_cycle(np.array(img0)) == expected
+
+    def test_parity_matches_permutation_parity(self):
+        rng = RngState(17)
+        for degree in (1, 2, 5, 200, 7778):
+            perms = [Permutation.identity(degree)] + [_random_perm(degree, rng) for _ in range(6)]
+            for perm in perms:
+                g = PermutationGroup(degree, [perm])
+                assert g._has_odd_generator() == (perm.parity() == 1)
+            g = PermutationGroup(degree, perms)
+            assert g._has_odd_generator() == any(perm.parity() for perm in perms)
+
+    def test_transitivity_matches_search(self):
+        d = 4096
+        forward = Permutation.from_cycles(d, [tuple(range(1, d + 1))])
+        # two involutions whose Schreier graph is a path 1 - 2 - ... - d
+        left = Permutation.from_cycles(d, [(i, i + 1) for i in range(1, d, 2)])
+        right = Permutation.from_cycles(d, [(i, i + 1) for i in range(2, d, 2)])
+        halves = Permutation.from_cycles(d, [tuple(range(1, d // 2 + 1))])
+        rng = RngState(3)
+        # the same d-cycle and path with their points numbered at random
+        shuffle = _random_perm(d, rng)
+        relabel = [shuffle.inverse() * p * shuffle for p in (forward, left, right)]
+        cases = [
+            [forward],
+            [left, right],
+            relabel[:1],
+            relabel[1:],
+            [left],
+            [halves, left],
+            [Permutation.identity(d)],
+            [cyc(9, (1, 2), (3, 4)), cyc(9, (2, 3)), cyc(9, (5, 6, 7))],
+            [cyc(9, (1, 9))],
+        ] + [[_random_involution(40, rng) for _ in range(2)] for _ in range(20)]
+        for gens in cases:
+            degree = gens[0].degree
+            g = PermutationGroup(degree, gens)
+            orbit = orbit_by_search([[v - 1 for v in p.images] for p in gens])
+            assert g.is_transitive() == (len(orbit) == degree)
+        assert all(PermutationGroup(d, gens).is_transitive() for gens in cases[:4])
+        assert not PermutationGroup(d, [halves, left]).is_transitive()
+
+    @pytest.mark.parametrize("lowered", [False, True])
+    def test_word_element_draws_as_the_scalar_loop(self, monkeypatch, lowered):
+        # lowered: about one draw in 16 is rejected; the limit is read at call time
+        real = rng_module.rejection_limit
+        if lowered:
+            monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
+        g = _b_side_group(6, 200, 11)
+        rows = g.images0.tolist()
+        rng, scalar = RngState(23), RngState(23)
+        for _ in range(200):
+            word = g._word_element(rng, 100)
+            assert word.tolist() == word_by_scalar_loop(rows, scalar, 100)
+            assert rng.index == scalar.index
+
+    def test_word_element_rejection_branch_runs(self, monkeypatch):
+        calls = []
+        real = RngState.randbelow
+
+        def counted(self, bound):
+            calls.append(bound)
+            return real(self, bound)
+
+        monkeypatch.setattr(RngState, "randbelow", counted)
+        g = _b_side_group(6, 200, 11)
+        g._word_element(RngState(23), 100)
+        assert calls == [100]  # the block path draws only the length
+        limit = rng_module.rejection_limit
+        monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: limit(bound) - (1 << 63))
+        calls.clear()
+        rng = RngState(23)
+        while len(calls) < 2:
+            g._word_element(rng, 100)
+        assert set(calls) == {100, len(g.images0)}  # the scalar loop drew the letters
+
+    def test_certificate_groups_classify_as_permutation_groups(self):
+        # irr_certificate builds both groups from arrays; the benchmark's own
+        # check rebuilds them from the structure set's local involutions
+        for n, count in ((200, 12), (7778, 2)):
+            root = RngState(n + 1)
+            checked = 0
+            for t in range(100):
+                tup = sample_tuple(6, n, root.derive(t))
+                if match_graph(tup).triple_witness() is not None:
+                    continue
+                s = structure_set_from_tuple(tup)
+                rep = irr_certificate(tup)
+                assert rep.a_local == PermutationGroup(6, s.local_involutions("A")).classify()
+                assert rep.b_local == PermutationGroup(n, s.local_involutions("B")).classify()
+                checked += 1
+                if checked == count:
+                    break
+            assert checked == count
 
 
 class TestOrder:

@@ -39,6 +39,7 @@ from bmwgroups.randmodel import (
     white_ball_vertex,
 )
 from bmwgroups.rng import RngState
+from bmwgroups.structure import StructureSet
 
 from .oracles import (
     edge_colours_by_pairings,
@@ -321,6 +322,25 @@ class TestStructureSetFromTuple:
                 p.images for p in derived.local_involutions("B")
             ) == tuple(e.images for e in tup.entries)
 
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 4), (3, 6), (6, 200)])
+    def test_unchecked_build_passes_the_checked_constructor(self, m, n):
+        # every tuple of the small spaces, 200 sampled tuples at (6, 200)
+        if n <= 6:
+            tuples = enumerate_tuples(m, n)
+        else:
+            root = RngState(m * n)
+            tuples = (sample_tuple(m, n, root.derive(t)) for t in range(200))
+        built = 0
+        for tup in tuples:
+            graph = match_graph(tup)
+            if graph.triple_witness() is not None:
+                continue
+            derived = graph.structure_set()
+            pairs = derived.encoding()
+            assert derived == StructureSet(m, n, pairs)
+            built += 1
+        assert built
+
     def test_triple_matching_raises(self):
         a = cyc(4, (1, 2), (3, 4))
         with pytest.raises(TripleMatchingError):
@@ -524,7 +544,7 @@ class TestIrrCertificate:
         assert not rep.connected
 
     def test_connected_is_the_match_graph_on_both_branches(self):
-        # with a structure set the field is read off the B-side group
+        # on both branches the field is the transitivity of the group of the rows
         tuples = list(enumerate_tuples(3, 4)) + list(enumerate_tuples(2, 6))
         root = RngState(2718)
         for m, n in ((2, 8), (3, 6), (4, 12), (6, 20)):
