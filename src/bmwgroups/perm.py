@@ -15,14 +15,13 @@ current anchor slot with a uniformly random remaining slot.  Each step has
 to ``(n-1)!!`` and every pairing is produced by exactly one choice sequence:
 the distribution is uniform.  One trial of degree ``n`` consumes exactly
 ``n/2`` ``randbelow`` calls, which makes the draw layout batchable (see
-:func:`random_fpf_images_batch`).
+:func:`bmwgroups.randmodel.sample_tuple_images_batch`).  The scalar
+:func:`random_fpf_images` is the reference semantics of every sampler.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import DegreeError
 from .rng import RngState
@@ -303,63 +302,4 @@ def random_fpf_images(n: int, rng: RngState) -> list[int]:
         slots[anchor_pos + 1], slots[j] = slots[j], slots[anchor_pos + 1]
         a, b = slots[anchor_pos], slots[anchor_pos + 1]
         images[a - 1], images[b - 1] = b, a
-    return images
-
-
-def random_fpf_images_draft(
-    n: int, seeds: np.ndarray, start_index: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`random_fpf` that assumes no draw is rejected.
-
-    Returns the 1-based ``(len(seeds), n)`` image array and a boolean mask of
-    the rows whose draws hit the (once per ~2**50 draws) rejection branch.
-    Unmasked rows equal ``random_fpf(n, RngState(seeds[t]))`` after
-    ``start_index`` draws were already consumed from that state; masked rows
-    are not valid and must be recomputed by the caller.
-    """
-    if n < 2 or n % 2:
-        raise DegreeError("n must be even and at least 2")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    batch = seeds.shape[0]
-    steps = n // 2
-    slots = np.tile(np.arange(1, n + 1, dtype=np.int64), (batch, 1))
-    rows = np.arange(batch)
-    rejected = np.zeros(batch, dtype=bool)
-    idx = np.arange(start_index + 1, start_index + steps + 1, dtype=np.uint64)
-    from .rng import GAMMA, mix64_array, rejection_limit  # keeps module load light
-
-    draws = mix64_array(seeds[:, None] + idx[None, :] * np.uint64(GAMMA))
-    for step in range(steps):
-        anchor = 2 * step
-        bound = n - anchor - 1
-        u = draws[:, step]
-        limit = rejection_limit(bound)
-        if limit < 1 << 64:
-            rejected |= u >= np.uint64(limit)
-        j = (anchor + 1 + (u % np.uint64(bound)).astype(np.int64))
-        tmp = slots[rows, j]
-        slots[rows, j] = slots[:, anchor + 1]
-        slots[:, anchor + 1] = tmp
-    images = np.empty((batch, n), dtype=np.int64)
-    for step in range(steps):
-        a = slots[:, 2 * step]
-        b = slots[:, 2 * step + 1]
-        images[rows, a - 1] = b
-        images[rows, b - 1] = a
-    return images, rejected
-
-
-def random_fpf_images_batch(n: int, seeds: np.ndarray, start_index: int = 0) -> np.ndarray:
-    """Batched :func:`random_fpf`, one involution per seed.
-
-    Row ``t`` equals ``random_fpf(n, RngState(seeds[t]))`` (after
-    ``start_index`` draws were already consumed from that state), returned as
-    a 1-based ``(len(seeds), n)`` image array.  The scalar sampler is the
-    authoritative semantics; rows whose draws hit the rejection branch are
-    recomputed with it.
-    """
-    images, rejected = random_fpf_images_draft(n, seeds, start_index)
-    for t in np.nonzero(rejected)[0]:
-        state = RngState(int(seeds[t]), index=start_index)
-        images[t] = random_fpf(n, state).images
     return images

@@ -36,8 +36,7 @@ import numpy as np
 
 from .errors import DegreeError, RangeError, ResourceError, UsageError
 from .perm import Permutation
-from . import rng as rng_module
-from .rng import RngState, raw_block
+from .rng import RngState
 
 DEFAULT_ORDER_GUARD = 2000
 DEFAULT_PRIMITIVITY_GUARD = 10_000
@@ -114,6 +113,32 @@ def _cycle_lengths(img0: np.ndarray) -> np.ndarray:
     return np.bincount(labels, minlength=len(img0))[labels == np.arange(len(img0))]
 
 
+def _orbit_labels(gens: np.ndarray) -> np.ndarray:
+    """The orbit minimum of every point under the rows of a (k, d) 0-based image array.
+
+    Each round hooks every label onto the least label one generator or
+    inverse step away from its points, then jumps labels to their labels
+    until they settle.  Labels stay in their points' orbits and never
+    exceed them, so at the fixpoint each orbit carries its minimum.
+    Hooking whole labels keeps the rounds few on a long cycle or path.
+    """
+    d = gens.shape[1]
+    inverses = np.empty_like(gens)
+    np.put_along_axis(inverses, gens, np.arange(d), axis=1)
+    # an involution is its own inverse
+    moves = np.concatenate([gens, inverses[(inverses != gens).any(axis=1)]])
+    labels = np.arange(d)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, labels, labels[moves].min(axis=0, initial=d))
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
+
+
 class PermutationGroup:
     """A subgroup of Sym(degree) given by a list of generators.
 
@@ -175,32 +200,6 @@ class PermutationGroup:
         if self._rows is None:
             self._rows = self.images0.tolist()
         return self._rows
-
-    def _orbit_labels(self) -> np.ndarray:
-        """The orbit minimum of every point.
-
-        Each round hooks every label onto the least label one generator or
-        inverse step away from its points, then jumps labels to their labels
-        until they settle.  Labels stay in their points' orbits and never
-        exceed them, so at the fixpoint each orbit carries its minimum.
-        Hooking whole labels keeps the rounds few on a long cycle or path.
-        """
-        d = self.degree
-        gens = self.images0
-        inverses = np.empty_like(gens)
-        np.put_along_axis(inverses, gens, np.arange(d), axis=1)
-        # an involution is its own inverse
-        moves = np.concatenate([gens, inverses[(inverses != gens).any(axis=1)]])
-        labels = np.arange(d)
-        while True:
-            hooked = labels.copy()
-            np.minimum.at(hooked, labels, labels[moves].min(axis=0, initial=d))
-            jumped = hooked[hooked]
-            while not np.array_equal(jumped, hooked):
-                hooked, jumped = jumped, jumped[jumped]
-            if np.array_equal(hooked, labels):
-                return labels
-            labels = hooked
 
     def _has_odd_generator(self) -> bool:
         """Whether some generator is odd: d minus its cycle count is odd."""
@@ -274,7 +273,7 @@ class PermutationGroup:
         d = self.degree
         gens = self.images0
         if ((gens != np.arange(d)).sum(axis=1) == 2).all():
-            sizes = np.bincount(self._orbit_labels())
+            sizes = np.bincount(_orbit_labels(gens))
             return math.prod(math.factorial(size) for size in sizes.tolist())
         if d < 5 or not self.is_transitive():
             return None
@@ -292,11 +291,16 @@ class PermutationGroup:
 
     def is_transitive(self) -> bool:
         if self._transitive is None:
-            self._transitive = not self._orbit_labels().any()
+            self._transitive = not _orbit_labels(self.images0).any()
         return self._transitive
 
     def is_two_transitive(self) -> bool:
-        """Transitive on ordered pairs of distinct points."""
+        """Transitive on ordered pairs of distinct points.
+
+        The pair (x, y) is coded x * d + y, on which g acts as
+        g[x] * d + g[y]; every off-diagonal code must share the orbit, and so
+        the label, of the code 1 of the pair (0, 1).
+        """
         if self.degree < 2:
             raise DegreeError("2-transitivity needs degree at least 2")
         if self._two_transitive is None:
@@ -304,19 +308,10 @@ class PermutationGroup:
                 self._two_transitive = False
             else:
                 d = self.degree
-                gens0 = self._lists0()
-                start = 0 * d + 1  # the ordered pair (1, 2)
-                seen = {start}
-                stack = [start]
-                while stack:
-                    code = stack.pop()
-                    x, y = divmod(code, d)
-                    for g in gens0:
-                        nxt = g[x] * d + g[y]
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            stack.append(nxt)
-                self._two_transitive = len(seen) == d * (d - 1)
+                gens = self.images0
+                pairs = (gens[:, :, None] * d + gens[:, None, :]).reshape(len(gens), d * d)
+                labels = _orbit_labels(pairs)
+                self._two_transitive = bool((labels[~np.eye(d, dtype=bool).ravel()] == 1).all())
         return self._two_transitive
 
     def is_primitive(self, guard: int = DEFAULT_PRIMITIVITY_GUARD) -> bool:
@@ -368,20 +363,13 @@ class PermutationGroup:
         """A random word in the generators, as its 0-based image array.
 
         The word takes ``1 + randbelow(max_word_len)`` letters, each
-        ``randbelow(k)``, and is their product from the first letter on.
-        The letters' raw words are computed as one block and checked against
-        the rejection limit at once; on a rejection the scalar loop draws
-        them from the untouched state, so the draws are always its draws.
+        ``randbelow(k)``, drawn by one
+        :meth:`~bmwgroups.rng.RngState.randbelow_block`, and is their product
+        from the first letter on.
         """
         gens = self.images0
-        k = len(gens)
         length = 1 + rng.randbelow(max_word_len)
-        words = raw_block(rng.seed, rng.index, length)
-        if (words > np.uint64(rng_module.rejection_limit(k) - 1)).any():
-            letters = [rng.randbelow(k) for _ in range(length)]
-        else:
-            letters = (words % np.uint64(k)).tolist()
-            rng.index += length
+        letters = rng.randbelow_block(np.full(length, len(gens))).tolist()
         cur = gens[letters[0]]
         for i in letters[1:]:
             cur = gens[i].take(cur)

@@ -57,16 +57,9 @@ from .errors import (
     TripleMatchingError,
     UsageError,
 )
-from .perm import (
-    FpfInvolution,
-    count_fpf,
-    enumerate_fpf,
-    random_fpf_images,
-    random_fpf_images_draft,
-)
+from .perm import FpfInvolution, count_fpf, enumerate_fpf
 from .permgroup import DEFAULT_ORDER_GUARD, GroupClassification, PermutationGroup
-from . import rng as rng_module
-from .rng import GAMMA, RngState, mix64, mix64_array, raw_block
+from .rng import RngState, randbelow_draft
 from .structure import StructureSet, _frozen
 
 DEFAULT_BALL_RADIUS = 6
@@ -136,33 +129,27 @@ def _row_fault(images) -> Exception:
     return DegreeError("images must form an (m, n) table of integers")
 
 
-def sample_tuple(m: int, n: int, rng: RngState) -> InvolutionTuple:
-    """m independent uniform fixed-point-free involutions, one rng stream.
-
-    Coordinate ``c`` makes ``n/2`` ``randbelow`` calls after those of the
-    coordinates before it; without a rejection these are the draws
-    ``[c * n/2, (c+1) * n/2)`` of the stream.  The whole tuple is a pure
-    function of the rng seed.
-
-    Those ``m * n/2`` words are computed as one block and checked against
-    every step's rejection limit at once; step ``s`` has bound ``n - 1 - 2s``
-    in each coordinate.  Without a rejection only the slot swaps of
-    :func:`~bmwgroups.perm.random_fpf_images` run in Python.  With one, the
-    tuple is drawn by that scalar loop from the untouched state, as it is the
-    authoritative semantics.
-    """
+def _check_shape(m: int, n: int) -> None:
     if m < 1:
         raise ArityError("m must be positive")
     if n < 2 or n % 2:
         raise DegreeError("n must be even and at least 2")
+
+
+def sample_tuple(m: int, n: int, rng: RngState) -> InvolutionTuple:
+    """m independent uniform fixed-point-free involutions, one rng stream.
+
+    Coordinate ``c`` makes the ``n/2`` ``randbelow`` calls of
+    :func:`~bmwgroups.perm.random_fpf_images` after those of the coordinates
+    before it; step ``s`` has bound ``n - 1 - 2s``.  The whole tuple is a
+    pure function of the rng seed.  All ``m * n/2`` calls are made by one
+    :meth:`~bmwgroups.rng.RngState.randbelow_block`, so only the slot swaps
+    run in Python.
+    """
+    _check_shape(m, n)
     steps = n // 2
-    words = raw_block(rng.seed, rng.index, m * steps).reshape(m, steps)
-    bounds = np.arange(n - 1, 0, -2, dtype=np.uint64)
-    # randbelow(b) rejects u >= limit, that is u > limit - 1, which fits in 64 bits
-    highest = [rng_module.rejection_limit(b) - 1 for b in bounds.tolist()]
-    if (words > np.array(highest, dtype=np.uint64)).any():
-        return InvolutionTuple([random_fpf_images(n, rng) for _ in range(m)])
-    targets = (words % bounds).astype(np.int64) + np.arange(1, n, 2)
+    bounds = np.tile(np.arange(n - 1, 0, -2), m)
+    targets = rng.randbelow_block(bounds).reshape(m, steps) + np.arange(1, n, 2)
     slots = []
     for row in targets.tolist():
         s = list(range(n))
@@ -174,7 +161,6 @@ def sample_tuple(m: int, n: int, rng: RngState) -> InvolutionTuple:
     images = np.empty((m, n), dtype=np.int64)
     np.put_along_axis(images, anchors, partners + 1, axis=1)
     np.put_along_axis(images, partners, anchors + 1, axis=1)
-    rng.index += m * steps
     return InvolutionTuple(images)
 
 
@@ -184,20 +170,37 @@ def sample_tuple_images_batch(
     """Image arrays of ``sample_tuple(m, n, rng.derive(t))`` for a trial range.
 
     Returns a ``(count, m, n)`` 1-based array whose row ``t`` equals the
-    scalar tuple for trial ``first_trial + t`` on every branch: a trial whose
-    draws hit the rejection branch in any coordinate shifts the draws of the
-    later coordinates, so it is recomputed whole with :func:`sample_tuple`.
+    scalar tuple for trial ``first_trial + t`` on every branch.  One pass per
+    coordinate draws every trial's words by
+    :func:`~bmwgroups.rng.randbelow_draft` and swaps the slots of all trials
+    at once, in one ``(n, count)`` slot array: slot ``i`` of trial ``t``
+    sits at flat position ``i * count + t``.  The pairs are then scattered
+    straight into the output.  A trial whose draws hit the rejection branch
+    in any coordinate shifts the draws of the later coordinates, so it is
+    recomputed whole with :func:`sample_tuple`.
     """
-    if n < 2 or n % 2:
-        raise DegreeError("n must be even and at least 2")
-    idx = np.arange(first_trial + 1, first_trial + count + 1, dtype=np.uint64)
-    seeds = mix64_array(np.uint64(mix64(rng.seed)) + idx * np.uint64(GAMMA))
+    _check_shape(m, n)
+    seeds = rng.derived_seeds(first_trial, count)
     steps = n // 2
+    bounds = np.arange(n - 1, 0, -2)
+    trials = np.arange(count)
     out = np.empty((count, m, n), dtype=np.int64)
+    flat_out = out.reshape(-1)  # out[t, c, i] is flat_out[(t * m + c) * n + i]
     rejected = np.zeros(count, dtype=bool)
+    slots = np.empty(n * count, dtype=np.int64)
+    rows = slots.reshape(n, count)
     for c in range(m):
-        out[:, c, :], hit = random_fpf_images_draft(n, seeds, start_index=c * steps)
+        draws, hit = randbelow_draft(seeds, c * steps, bounds)
         rejected |= hit
+        rows[:] = np.arange(n)[:, None]
+        for a, drawn in zip(range(1, n, 2), draws.T):
+            at = (drawn + a) * count + trials
+            partner = slots.take(at)
+            slots[at] = rows[a]
+            rows[a] = partner
+        start = (trials * m + c) * n
+        flat_out[rows[0::2] + start] = rows[1::2] + 1
+        flat_out[rows[1::2] + start] = rows[0::2] + 1
     for t in np.nonzero(rejected)[0]:
         out[t] = sample_tuple(m, n, rng.derive(first_trial + int(t))).images
     return out

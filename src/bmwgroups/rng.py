@@ -24,7 +24,11 @@ reproduced bit-for-bit from the documentation alone:
 
 Because the stream is a pure function of ``(seed, index)``, whole blocks of
 draws can be produced with vectorized uint64 arithmetic; see
-:func:`raw_block`.  A state is single-owner: share seeds, not instances.
+:func:`raw_block`.  Samplers ask this module for their bounded draws: a
+state's :meth:`RngState.randbelow_block`, or :func:`randbelow_draft` for an
+array of seeds, whose substream seeds come from
+:meth:`RngState.derived_seeds`.  No other module computes a raw word or a
+rejection limit.  A state is single-owner: share seeds, not instances.
 """
 
 from __future__ import annotations
@@ -47,7 +51,11 @@ def mix64(z: int) -> int:
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` on a uint64 array."""
-    z = z.astype(np.uint64, copy=True)
+    return _mix64_in_place(z.astype(np.uint64, copy=True))
+
+
+def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64` on a uint64 array, overwriting it."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(_M1)
     z ^= z >> np.uint64(27)
@@ -61,14 +69,42 @@ def rejection_limit(bound: int) -> int:
     return ((1 << 64) // bound) * bound
 
 
-def raw_block(seed: int, start_index: int, count: int) -> np.ndarray:
+def raw_block(seed, start_index: int, count: int) -> np.ndarray:
     """Raw words ``u_{start_index+1} .. u_{start_index+count}`` of a stream.
 
     Matches what ``count`` successive ``_draw`` calls on
     ``RngState(seed)`` would return after ``start_index`` draws were consumed.
+    ``seed`` may be a uint64 array of seeds; the words then have shape
+    ``seed.shape + (count,)``.
     """
     idx = np.arange(start_index + 1, start_index + count + 1, dtype=np.uint64)
-    return mix64_array(np.uint64(seed & _MASK) + idx * np.uint64(GAMMA))
+    return _mix64_in_place(np.asarray(seed, dtype=np.uint64)[..., None] + idx * np.uint64(GAMMA))
+
+
+def randbelow_draft(seed, start_index: int, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """``randbelow(b)`` for each ``b`` in turn, assuming no draw is rejected.
+
+    The draws are those of a state with ``seed`` after ``start_index`` draws,
+    one raw word per bound, returned as int64 values with the shape of
+    :func:`raw_block`, together with a mask of the seeds whose words hit the
+    rejection branch: their values are not the loop's.  Each distinct bound's
+    limit is computed once, by :func:`rejection_limit` looked up at call time.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    ranked = np.sort(bounds)  # np.unique and set() cost more
+    distinct = ranked[:1].tolist() + ranked[1:][ranked[1:] != ranked[:-1]].tolist()
+    if distinct and distinct[0] < 1:
+        raise ValueError("bound must be positive")
+    # randbelow(b) rejects u >= limit, that is u > limit - 1, which fits in 64 bits
+    highest = [rejection_limit(b) - 1 for b in distinct]
+    words = raw_block(seed, start_index, len(bounds))
+    # a word at most the least highest value is accepted whatever its bound
+    rejected = (words > np.uint64(min(highest, default=_MASK))).any(axis=-1)
+    if rejected.any():
+        highest = np.array(highest, dtype=np.uint64)[np.searchsorted(distinct, bounds)]
+        rejected = (words > highest).any(axis=-1)
+    words %= bounds.astype(np.uint64)
+    return words.view(np.int64), rejected  # each value is below an int64 bound
 
 
 class RngState:
@@ -102,11 +138,37 @@ class RngState:
             if u < limit:
                 return u % bound
 
+    def randbelow_block(self, bounds) -> np.ndarray:
+        """``[randbelow(b) for b in bounds]`` as an int64 array, from one raw block.
+
+        Bounds are positive int64.  Without a rejection the values come from
+        :func:`randbelow_draft`; with one, the loop runs from the untouched
+        state.  Either way ``index`` ends where the loop leaves it.
+        """
+        values, rejected = randbelow_draft(self.seed, self.index, bounds)
+        if rejected:
+            loop = [self.randbelow(b) for b in np.asarray(bounds).tolist()]
+            return np.array(loop, dtype=np.int64)
+        self.index += len(values)
+        return values
+
     def derive(self, index: int) -> "RngState":
         """Independent substream for a task index; does not consume draws."""
         if index < 0:
             raise ValueError("substream index must be non-negative")
         return RngState(mix64((mix64(self.seed) + (index + 1) * GAMMA) & _MASK))
+
+    def derived_seeds(self, first: int, count: int) -> np.ndarray:
+        """Seeds of ``derive(first) .. derive(first + count - 1)`` as uint64.
+
+        Substream ``k``'s seed is raw word ``k + 1`` of the stream seeded
+        ``mix64(seed)``.
+        """
+        if first < 0:
+            raise ValueError("substream index must be non-negative")
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        return raw_block(mix64(self.seed), first, count)
 
     def clone(self) -> "RngState":
         return RngState(self.seed, self.index)

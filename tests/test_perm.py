@@ -1,5 +1,3 @@
-
-import numpy as np
 import pytest
 
 from bmwgroups.errors import DegreeError
@@ -12,9 +10,9 @@ from bmwgroups.perm import (
     enumerate_fpf,
     pairing,
     random_fpf,
-    random_fpf_images_batch,
     shares_common_orbit,
 )
+from bmwgroups.randmodel import sample_tuple_images_batch
 from bmwgroups.rng import RngState
 
 from .oracles import fpf_involutions_by_filter, involution_count_by_filter
@@ -178,12 +176,10 @@ class TestSampling:
         from scipy.stats import chi2
 
         samples = 100_000
-        seeds = np.array(
-            [RngState(777).derive(t).seed for t in range(samples)], dtype=np.uint64
-        )
-        images = random_fpf_images_batch(n, seeds)
+        # row t is random_fpf(n, RngState(777).derive(t))
+        images = sample_tuple_images_batch(1, n, RngState(777), 0, samples)
         counts: dict = {}
-        for row in images:
+        for row in images[:, 0]:
             key = row.tobytes()
             counts[key] = counts.get(key, 0) + 1
         cells = count_fpf(n)
@@ -191,34 +187,3 @@ class TestSampling:
         expected = samples / cells
         stat = sum((c - expected) ** 2 / expected for c in counts.values())
         assert stat < chi2.ppf(0.999, cells - 1)
-
-    def test_batch_matches_scalar(self):
-        for n in (2, 4, 10, 36):
-            seeds = np.array([RngState(1).derive(t).seed for t in range(64)], dtype=np.uint64)
-            batch = random_fpf_images_batch(n, seeds)
-            for t in range(64):
-                scalar = random_fpf(n, RngState(int(seeds[t])))
-                assert tuple(int(v) for v in batch[t]) == scalar.images
-
-    def test_batch_matches_scalar_under_frequent_rejection(self, monkeypatch):
-        # lower the threshold so that about one draw in 16 is rejected
-        import bmwgroups.rng as rng_module
-
-        real = rng_module.rejection_limit
-        monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
-        seeds = np.array([RngState(3).derive(t).seed for t in range(200)], dtype=np.uint64)
-        batch = random_fpf_images_batch(8, seeds, start_index=2)
-        for t in range(200):
-            scalar = random_fpf(8, RngState(int(seeds[t]), index=2))
-            assert tuple(int(v) for v in batch[t]) == scalar.images
-
-    def test_batch_with_start_index(self):
-        seeds = np.array([981723], dtype=np.uint64)
-        state = RngState(981723)
-        first = random_fpf(10, state)
-        second = random_fpf(10, state)
-        assert tuple(int(v) for v in random_fpf_images_batch(10, seeds)[0]) == first.images
-        assert (
-            tuple(int(v) for v in random_fpf_images_batch(10, seeds, start_index=5)[0])
-            == second.images
-        )

@@ -890,3 +890,29 @@ class TestRejectionBranch:
                 assert imgs[t].tolist() == [list(e.images) for e in tup.entries]
                 shifted += state.index > m * (n // 2)
             assert shifted > trials // 4  # the branch is exercised
+
+
+class TestBatchSampler:
+    """Row t of ``sample_tuple_images_batch`` is ``sample_tuple(m, n, rng.derive(first + t))``."""
+
+    @pytest.mark.parametrize(
+        "m, n, first, count", [(1, 2, 0, 40), (3, 4, 7, 60), (2, 10, 500, 60), (4, 36, 3, 30)]
+    )
+    def test_rows_equal_sample_tuple(self, m, n, first, count):
+        rng = RngState(31)
+        imgs = sample_tuple_images_batch(m, n, rng, first, count)
+        assert imgs.shape == (count, m, n)
+        for t in range(count):
+            assert imgs[t].tolist() == sample_tuple(m, n, rng.derive(first + t)).images.tolist()
+
+    def test_no_coordinates_is_refused(self):
+        with pytest.raises(ArityError, match="^m must be positive$"):
+            sample_tuple_images_batch(0, 4, RngState(1), 0, 3)
+
+    def test_negative_first_trial_is_refused(self):
+        with pytest.raises(ValueError, match="^substream index must be non-negative$"):
+            sample_tuple_images_batch(2, 4, RngState(1), -1, 3)
+
+    def test_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match="^count must be non-negative$"):
+            sample_tuple_images_batch(2, 4, RngState(1), 0, -1)
