@@ -1,9 +1,14 @@
 """Queries on subgroups of Sym(d) given by generators.
 
 This backs every "the local action is Sym/Alt" certificate in the package:
-exact orders, transitivity and 2-transitivity, primitivity through
-finest-block refinement, recognition of alternating-group containment, and
-Schreier graphs of generator actions.
+exact orders, transitivity and 2-transitivity, primitivity, recognition of
+alternating-group containment, and Schreier graphs of generator actions.
+
+Primitivity is a suborbit test: Schreier generators of the stabilizer of
+point 1, formed along a breadth-first walk of its orbit, merge the other
+points into suborbits, and one finest-block refinement runs per suborbit
+rather than one per point.  Merging usually ends at a single suborbit,
+which proves 2-transitivity and needs no refinement.
 
 Exact orders sit behind a degree guard, which refuses before any work.  Past
 it, three exact facts decide most groups the package meets without a
@@ -30,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +47,8 @@ DEFAULT_ORDER_GUARD = 2000
 DEFAULT_PRIMITIVITY_GUARD = 10_000
 DEFAULT_JORDAN_WORDS = 200
 DEFAULT_JORDAN_WORD_LEN = 100
+# list entries (8 bytes each) of the transversal one primitivity test may build
+_TRANSVERSAL_ENTRIES = 1 << 21
 _JORDAN_SEED = 0x6A09E667F3BCC908
 
 
@@ -317,9 +324,15 @@ class PermutationGroup:
     def is_primitive(self, guard: int = DEFAULT_PRIMITIVITY_GUARD) -> bool:
         """No nontrivial invariant partition; ``False`` for intransitive groups.
 
-        Builds, for every point ``w != 1``, the finest block system whose
-        block contains both 1 and ``w`` (union-find refinement) and checks it
-        is the full point set.  O(d^2 * generators) worst case.
+        A suborbit test (Atkinson, *An algorithm for finding the blocks of a
+        permutation group*, Math. Comp. 1975; Seress, *Permutation Group
+        Algorithms*, 2003, 5.5).  If h fixes 1 and maps w to w', it maps the
+        finest block system joining {1, w} onto the one joining {1, w'}, so
+        both blocks have the same size.  One :meth:`minimal_block_with` call
+        per orbit on {2..d} of any subgroup H of the stabilizer of 1 therefore
+        decides, whatever H is; :meth:`_suborbit_representatives` grows H.
+        When H is transitive on {2..d}, the group is 2-transitive and so
+        primitive with no refinement at all.
         """
         if self._primitive is None:
             if self.degree > guard:
@@ -331,11 +344,91 @@ class PermutationGroup:
             elif self.degree <= 2:
                 self._primitive = True
             else:
-                self._primitive = all(
-                    len(self.minimal_block_with(w)) == self.degree
-                    for w in range(2, self.degree + 1)
+                reps = self._suborbit_representatives()
+                self._primitive = len(reps) == 1 or all(
+                    len(self.minimal_block_with(w)) == self.degree for w in reps
                 )
         return self._primitive
+
+    def _suborbit_representatives(self) -> list[int]:
+        """The least point of each orbit on {2..d} of a subgroup H of the stabilizer of 1.
+
+        1-based; the group must be transitive.  H is generated by the
+        Schreier generators of :meth:`_stabilizer_generators`, whose orbits
+        merge in a union-find with orbit minima as roots until {2..d} is one
+        orbit.  :meth:`is_primitive` is exact for any H, so the walk may stop
+        there or at its budget.
+        """
+        d = self.degree
+        parent = list(range(d))
+        labels = parent[:]  # the root of each point: the least point of its orbit
+        classes = d - 1
+        for a, b in self._stabilizer_generators():
+            la, lb = list(map(labels.__getitem__, a)), list(map(labels.__getitem__, b))
+            if la == lb:
+                continue
+            for p, q in zip(la, lb):
+                if p != q:
+                    rp, rq = _find(parent, p), _find(parent, q)
+                    if rp != rq:
+                        parent[max(rp, rq)] = min(rp, rq)
+                        classes -= 1
+            if classes == 1:
+                return [2]
+            labels = [_find(parent, x) for x in range(d)]
+        return [w + 1 for w in range(1, d) if labels[w] == w]
+
+    def _stabilizer_generators(self) -> Iterator[tuple[list[int], list[int]]]:
+        """Schreier generators of the stabilizer of point 1, in breadth-first order.
+
+        A breadth-first walk from 1 reaches y = g(x) over a tree edge or
+        over an edge that closes a cycle.  With u_x the product of the tree
+        edges from 1 to x, each edge of the second kind gives the Schreier
+        generator u_y^-1 g u_x, which fixes 1; all of them generate the
+        stabilizer (Schreier's lemma).  Each comes as two 0-based lists
+        (a, b): it maps a[r] to b[r] for every r.  The walk keeps the inverse
+        v_x of u_x, so a = v_x and b = v_y g need no inversion.  A transversal
+        element is built, with the missing ones on its tree path, only when a
+        generator needs it; the walk ends early rather than build more than
+        ``_TRANSVERSAL_ENTRIES // d`` of them.
+        """
+        d = self.degree
+        rows = self._lists0()
+        inverses: dict[int, list[int]] = {}
+        up, via = [-1] * d, [-1] * d  # tree parent of each reached point, and its generator
+        up[0] = 0
+        orbit = [0]
+        transversal = {0: list(range(d))}  # x -> v_x
+        cap = _TRANSVERSAL_ENTRIES // d
+
+        def element(x: int) -> Optional[list[int]]:
+            """v_x, or None when building it would pass the cap."""
+            path = []
+            y = x
+            while y not in transversal:
+                path.append(y)
+                y = up[y]
+            if len(transversal) + len(path) > cap:
+                return None
+            for y in reversed(path):
+                i = via[y]
+                if i not in inverses:
+                    inverses[i] = sorted(range(d), key=rows[i].__getitem__)
+                # v_y = v_x g^-1 for the tree edge y = g(x)
+                transversal[y] = list(map(transversal[up[y]].__getitem__, inverses[i]))
+            return transversal[x]
+
+        for x in orbit:  # the list grows as the walk reaches new points
+            for i, g in enumerate(rows):
+                y = g[x]
+                if up[y] < 0:
+                    up[y], via[y] = x, i
+                    orbit.append(y)
+                    continue
+                v_x, v_y = element(x), element(y)
+                if v_x is None or v_y is None:
+                    return
+                yield v_x, list(map(v_y.__getitem__, g))
 
     def minimal_block_with(self, w: int) -> frozenset[int]:
         """The block of point 1 in the finest system merging {1, w} (1-based)."""

@@ -3,7 +3,8 @@
 Everything here recomputes expected values from first principles, without
 touching the implementation paths under test: permutation filtering instead
 of backtracking enumeration, multiplication closures instead of stabilizer
-chains, partition scans instead of union-find block refinement, per-vertex
+chains, partition scans instead of union-find block refinement, one
+refinement per point instead of one per stabilizer suborbit, per-vertex
 and per-point breadth-first searches over the pairings instead of the
 bit-parallel white balls and the orbit labels of the match graph,
 coincidence scans of image arrays instead of local-action groups or the
@@ -188,7 +189,7 @@ def _set_partitions(items):
 
 def is_primitive_by_partition_scan(perms, degree):
     """Primitivity by scanning every partition of the point set (tiny d)."""
-    elements = closure([tuple(v - 1 for v in p.images) for p in perms])
+    elements = closure([tuple(v - 1 for v in p.images) for p in perms]) if perms else {tuple(range(degree))}
     orbit = {0}
     changed = True
     while changed:
@@ -210,6 +211,21 @@ def is_primitive_by_partition_scan(perms, degree):
         ):
             return False
     return True
+
+
+def is_primitive_by_all_blocks(group):
+    """Primitivity by one finest-block refinement for every point w = 2..d.
+
+    The block of 1 in the finest system joining {1, w} must be the whole
+    point set for every w; O(d^2 * generators).
+    """
+    if not group.is_transitive():
+        return False
+    if group.degree <= 2:
+        return True
+    return all(
+        len(group.minimal_block_with(w)) == group.degree for w in range(2, group.degree + 1)
+    )
 
 
 def white_ball_exists_by_bfs(n, edges, radius):

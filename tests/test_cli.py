@@ -386,6 +386,18 @@ class TestS0:
             "fe6e37d8bcdcdfbfb8929a6a6889f50b64a5db436f7ec6337084c7e95dfe13d9"
         )
 
+    def test_filled_large_verify_bytes_pinned(self, capsys):
+        # a filled (100, 200) block: the B-side theorem route needs primitivity at degree 200
+        code, out, err = run(
+            capsys, "s0", "--m", "100", "--n", "200", "--filler-seed", "7", "--verify"
+        )
+        assert code == 0
+        passes = [ln for ln in err.splitlines() if ln.startswith("verify ") and ln.endswith(": pass")]
+        assert len(passes) == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "78fc21539d1abeee035b3938dd82629ea0fd8beb1f4d883b6932aaefc8654216"
+        )
+
 
 class TestMc:
     def test_expected_matches(self, capsys):

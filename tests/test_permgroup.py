@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from bmwgroups.rng import RngState
 from .oracles import (
     closure_order,
     contains_alternating_by_closure,
+    is_primitive_by_all_blocks,
     is_primitive_by_partition_scan,
     is_two_transitive_by_closure,
     orbit_by_search,
@@ -402,6 +404,50 @@ class TestTransitivity:
             assert got == is_two_transitive_by_closure(gens, degree)
 
 
+def _dihedral(n):
+    """The rotation and the reflection of D_n on 1..n, point x + 1 standing for x mod n."""
+    return [
+        Permutation([(x + 1) % n + 1 for x in range(n)]),
+        Permutation([-x % n + 1 for x in range(n)]),
+    ]
+
+
+def _affine(p, c):
+    """x -> x + 1 and x -> cx on F_p, as permutations of 1..p."""
+    return [
+        Permutation([(x + 1) % p + 1 for x in range(p)]),
+        Permutation([c * x % p + 1 for x in range(p)]),
+    ]
+
+
+def _wreath(b, c):
+    """Generators of Sym(b) wr Sym(c), block j being the points j*b + 1 .. j*b + b."""
+    d = b * c
+    return [
+        cyc(d, (1, 2)),
+        cyc(d, tuple(range(1, b + 1))),
+        cyc(d, *[(x, x + b) for x in range(1, b + 1)]),
+        Permutation([(x + b) % d + 1 for x in range(d)]),
+    ]
+
+
+def _random_wreath_element(b, c, rng):
+    """A uniform element of Sym(b) wr Sym(c): a block permutation and one permutation per block."""
+    blocks = [x - 1 for x in _random_perm(c, rng).images]
+    within = [[x - 1 for x in _random_perm(b, rng).images] for _ in range(c)]
+    return Permutation([blocks[x // b] * b + within[x // b][x % b] + 1 for x in range(b * c)])
+
+
+def _primitivity_checked(degree, gens):
+    """``is_primitive`` on fresh groups, checked against the all-blocks oracle and, up to
+    degree 6, the partition scan."""
+    got = is_primitive(PermutationGroup(degree, gens))
+    assert got == is_primitive_by_all_blocks(PermutationGroup(degree, gens))
+    if degree <= 6:
+        assert got == is_primitive_by_partition_scan(gens, degree)
+    return got
+
+
 class TestPrimitivity:
     def test_examples(self):
         assert not is_primitive(KLEIN)
@@ -425,6 +471,80 @@ class TestPrimitivity:
                 assert not is_primitive(g)
                 continue
             assert is_primitive(g) == is_primitive_by_partition_scan(gens, degree)
+
+    def test_primitive_groups_with_several_suborbits(self):
+        # prime degree: every transitive group is primitive.  The stabilizer
+        # of 0 in D_p or in {x -> ax + b : a in <c>} acts on the other points
+        # of F_p by multiplication with -1 or with the powers of c, so one
+        # refinement runs per orbit of those multipliers
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            cases = [(_dihedral(p), {1, p - 1})]
+            for c in range(1, p):
+                cases.append((_affine(p, c), {pow(c, e, p) for e in range(p)}))
+            for gens, multipliers in cases:
+                assert _primitivity_checked(p, gens)
+                if p > 2:
+                    orbits = {frozenset(a * x % p for a in multipliers) for x in range(1, p)}
+                    reps = PermutationGroup(p, gens)._suborbit_representatives()
+                    assert reps == sorted(min(orbit) + 1 for orbit in orbits)
+
+    def test_imprimitive_dihedral_and_wreath_groups(self):
+        for n in (4, 6, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 25, 27):
+            assert not _primitivity_checked(n, _dihedral(n))
+        rng = RngState(43)
+        for b, c in itertools.product((2, 3, 4), repeat=2):
+            assert not _primitivity_checked(b * c, _wreath(b, c))
+            for _ in range(10):
+                gens = [_random_wreath_element(b, c, rng) for _ in range(1 + rng.randbelow(3))]
+                assert not _primitivity_checked(b * c, gens)
+
+    def test_intransitive_groups_and_tiny_degrees(self):
+        assert _primitivity_checked(1, [])
+        assert not _primitivity_checked(2, [])
+        assert _primitivity_checked(2, [cyc(2, (1, 2))])
+        assert not _primitivity_checked(3, [cyc(3, (1, 2))])
+        assert _primitivity_checked(3, [cyc(3, (1, 2, 3))])
+        assert _primitivity_checked(3, [cyc(3, (1, 2)), cyc(3, (2, 3))])
+        rng = RngState(47)
+        for _ in range(20):
+            degree = 4 + rng.randbelow(9)
+            split = 1 + rng.randbelow(degree - 1)
+            gens = [
+                Permutation(
+                    list(_random_perm(split, rng).images)
+                    + [x + split for x in _random_perm(degree - split, rng).images]
+                )
+                for _ in range(2)
+            ]
+            assert not _primitivity_checked(degree, gens)
+
+    def test_s0_local_actions_match_all_blocks(self):
+        for m in range(13, 17):
+            for n in range(14, 61):
+                s = radu.extension(m, n)
+                assert _primitivity_checked(n, s.local_involutions("B"))
+                assert _primitivity_checked(m, s.local_involutions("A"))
+
+    def test_large_degree_stays_small(self):
+        # a (3000, 3000) transversal table would take 72 MB
+        g = PermutationGroup._from_images0(3000, sample_tuple(6, 3000, RngState(1)).images - 1)
+        tracemalloc.start()
+        try:
+            assert g.is_primitive() is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000
+
+    def test_guard_refuses_before_any_work(self, monkeypatch):
+        g = group(10_001, Permutation.transposition(10_001, 1, 2))
+
+        def refuse(self):
+            raise AssertionError("work ran")
+
+        monkeypatch.setattr(PermutationGroup, "is_transitive", refuse)
+        with pytest.raises(ResourceError):
+            g.is_primitive()
 
     def test_implication_chain(self):
         rng = RngState(41)
