@@ -147,19 +147,18 @@ def cmd_s0(cfg: RunConfig) -> int:
     if cfg.filler_seed is not None:
         _note(f"filler seed: {cfg.filler_seed}")
         filler = radu.random_filler(cfg.m, cfg.n, RngState(cfg.filler_seed))
-    s = radu.extension(cfg.m, cfg.n, filler)
-    families = radu.blueprint(cfg.m, cfg.n).families()
-    doc = formats.structure_set_document(s, families=families, seed=cfg.filler_seed)
+    bp = radu.blueprint(cfg.m, cfg.n)
+    s = bp.extension(filler)
+    doc = formats.structure_set_document(s, families=bp.families(), seed=cfg.filler_seed)
     _emit(formats.dumps(doc), cfg.output_path)
     if not cfg.verify:
         return EXIT_OK
-    b_gens = s.local_involutions("B")
-    a_gens = s.local_involutions("A")
+    # the local involutions are the rows of the b-parts and the columns of the a-parts
+    b_group = PermutationGroup._from_images0(cfg.n, s._partners[..., 1] - 1)
+    a_group = PermutationGroup._from_images0(cfg.m, s._partners[..., 0].T - 1)
     checks = {
-        "b_local_full_symmetric": PermutationGroup(cfg.n, b_gens).order(cfg.order_guard)
-        == math.factorial(cfg.n),
-        "a_local_full_symmetric": PermutationGroup(cfg.m, a_gens).order(cfg.order_guard)
-        == math.factorial(cfg.m),
+        "b_local_full_symmetric": b_group.order(cfg.order_guard) == math.factorial(cfg.n),
+        "a_local_full_symmetric": a_group.order(cfg.order_guard) == math.factorial(cfg.m),
     }
     claim = radu.schreier_claim_check(cfg.n)
     checks["schreier_connected"] = claim.connected

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import UsageError
 from .randmodel import CertificateReport, InvolutionTuple, McResult
-from .structure import Square, StructureSet, validate as validate_squares
+from .structure import StructureSet, validate as validate_squares
 
 SCHEMA_TUPLE = "bmwgroups.tuple.v1"
 SCHEMA_STRUCTURE_SET = "bmwgroups.structure_set.v1"
@@ -163,7 +163,7 @@ def structure_set_from_document(doc: dict) -> StructureSet:
     validate_document(doc)
     if doc["schema"] != SCHEMA_STRUCTURE_SET:
         raise UsageError(f"expected a {SCHEMA_STRUCTURE_SET} document")
-    return validate_squares(doc["m"], doc["n"], [Square(*sq) for sq in doc["squares"]])
+    return validate_squares(doc["m"], doc["n"], doc["squares"])
 
 
 # -- reports and estimates -------------------------------------------------------------

@@ -11,8 +11,9 @@ boundary rows and columns.  Every completion of the partial set has full
 symmetric local actions on both sides and simple type-preserving subgroup
 (by Radu's theorem plus the Burger-Mozes machinery); the rows 11..m-3 and
 columns 12..n-3 are left untouched, so completions can differ arbitrarily on
-that free block.  :func:`extension` completes the partial set with a chosen
-family of involutions on the free block plus diagonal squares.
+that free block.  :func:`extension` lays the base partner table over one fill
+table: the diagonal everywhere, except that the free rows pair their columns
+by a chosen family of involutions on the free columns.
 
 Everything here is a pure constructor; the generation and connectivity
 claims are machine-checked by the test suite rather than assumed.
@@ -27,12 +28,8 @@ from .errors import ConflictingPairError, DoublyCoveredPairError, RangeError
 from .perm import Permutation
 from .permgroup import SchreierAnalysis, schreier_analysis
 from .rng import RngState
-from .structure import (
-    PartialStructureSet,
-    Square,
-    StructureSet,
-    validate,
-)
+from .structure import PartialStructureSet, Square, StructureSet, validate
+from .structure import _first_cell, _frozen, _grid, _place
 
 MIN_M = 13
 MIN_N = 14
@@ -124,7 +121,7 @@ class S0Blueprint:
     def partial_set(self) -> PartialStructureSet:
         """All squares placed at once; a clash names the two squares' families."""
         try:
-            return PartialStructureSet.from_squares(self.m, self.n, [sq for sq, _ in self.tagged])
+            table = _place(self.m, self.n, [sq for sq, _ in self.tagged], partial=True)
         except DoublyCoveredPairError as err:
             # The first square through the pair placed it; the first later one
             # through it that is a different square is the clash.
@@ -132,6 +129,37 @@ class S0Blueprint:
             first = Square.canonical(*first)
             clash = next(fam for sq, fam in later if Square.canonical(*sq) != first)
             raise ConflictingPairError(err.pair, tags=(family, clash)) from None
+        return _frozen(PartialStructureSet, table)
+
+    def extension(self, filler: Optional[Sequence[Permutation]] = None) -> StructureSet:
+        """The base partner table laid over one fill table, valid by construction.
+
+        The fill table is the diagonal, except that free row ``11 + r`` pairs
+        column ``k`` with ``filler[r](k)``: one degree-n involution of the free
+        columns per free row.  With a filler, a base square on the free block
+        raises :class:`ConflictingPairError` at the first such cell.
+        """
+        rows, cols = free_block(self.m, self.n)
+        base, fill = self.partial_set()._partners, _grid(self.m, self.n)
+        if filler:
+            if len(filler) != len(rows):
+                raise RangeError(f"filler must have one involution per free row ({len(rows)})")
+            for sigma in filler:
+                if sigma.degree != self.n:
+                    raise RangeError("filler involutions must have degree n")
+                if not sigma.is_involution():
+                    raise RangeError("filler entries must be involutions")
+                p = next((p for p in sigma.moved_points() if p not in cols or sigma(p) not in cols), 0)
+                if p:
+                    raise RangeError(f"filler involution moves {p} outside the free columns")
+            r0, c0 = rows.start - 1, cols.start - 1
+            covered = base[r0 : rows.stop - 1, c0 : cols.stop - 1, 0] > 0
+            if covered.any():
+                i, k = _first_cell(covered)
+                raise ConflictingPairError((r0 + i, c0 + k))
+            fill[r0 : rows.stop - 1, :, 1] = [sigma.images for sigma in filler]
+        fill[base > 0] = base[base > 0]
+        return _frozen(StructureSet, fill)
 
 
 def blueprint(m: int, n: int) -> S0Blueprint:
@@ -214,39 +242,9 @@ def free_block(m: int, n: int) -> tuple[range, range]:
     return range(11, m - 2), range(12, n - 2)
 
 
-def extension(
-    m: int, n: int, filler: Optional[Sequence[Permutation]] = None
-) -> StructureSet:
-    """Complete the base partial set, pairing the free block by ``filler``.
-
-    ``filler`` gives one involution per free row (on the free columns,
-    degree-n, identity elsewhere); row ``11 + r`` gains the squares pairing
-    column ``k`` with ``filler[r](k)``.  ``None`` or an empty list leaves the
-    free block to the diagonal completion.  Distinct fillers yield structure
-    sets differing on the free block.
-    """
-    rows, cols = free_block(m, n)
-    base = base_partial_set(m, n)
-    if filler:
-        if len(filler) != len(rows):
-            raise RangeError(
-                f"filler must have one involution per free row ({len(rows)})"
-            )
-        squares = []
-        col_set = set(cols)
-        for row, sigma in zip(rows, filler):
-            if sigma.degree != n:
-                raise RangeError("filler involutions must have degree n")
-            if not sigma.is_involution():
-                raise RangeError("filler entries must be involutions")
-            for p in sigma.moved_points():
-                if p not in col_set or sigma(p) not in col_set:
-                    raise RangeError(
-                        f"filler involution moves {p} outside the free columns"
-                    )
-            squares += [Square(row, k, row, sigma(k)) for k in cols if k <= sigma(k)]
-        base = base.merge(PartialStructureSet.from_squares(m, n, squares))
-    return base.complete_with_diagonal()
+def extension(m: int, n: int, filler: Optional[Sequence[Permutation]] = None) -> StructureSet:
+    """``blueprint(m, n).extension(filler)``; distinct fillers differ on the free block."""
+    return blueprint(m, n).extension(filler)
 
 
 def random_filler(m: int, n: int, rng: RngState) -> list[Permutation]:

@@ -190,12 +190,18 @@ def _place(m: int, n: int, squares: Iterable[Sequence[int]], partial: bool) -> n
     return np.stack([a_part, b_part], axis=-1).reshape(m, n, 2)
 
 
-def _squares(table: np.ndarray) -> tuple[Square, ...]:
-    """The canonical squares through the covered cells, sorted."""
-    covered = table[..., 0] > 0
-    here, there = _grid(*table.shape[:2])[covered], table[covered]
-    corners = np.concatenate([np.minimum(here, there), np.maximum(here, there)], axis=1)
-    return tuple(Square(*sq) for sq in np.unique(corners, axis=0).tolist())
+def _squares(table: np.ndarray) -> np.ndarray:
+    """The canonical squares through the covered cells, sorted, as an ``(s, 4)`` array.
+
+    Square ``{i, j} x {k, l}`` with ``i <= j``, ``k <= l`` has one low corner
+    ``(i, k)``: its partner ``(j, l)`` is at least as large in both coordinates.
+    The partners ``(j, k)``, ``(i, l)``, ``(i, k)`` of the other corners are
+    smaller in some coordinate, and a free cell's ``(0, 0)`` in both.  The low
+    corners are distinct cells, so their row-major order is the sorted order.
+    """
+    here = _grid(*table.shape[:2])
+    low = (table >= here).all(axis=-1)
+    return np.concatenate([here[low], table[low]], axis=1)
 
 
 class StructureSet:
@@ -231,11 +237,11 @@ class StructureSet:
         return hash((self.m, self.n, self._partners.tobytes()))
 
     def __repr__(self):
-        return f"StructureSet(m={self.m}, n={self.n}, squares={len(self.to_squares())})"
+        return f"StructureSet(m={self.m}, n={self.n}, squares={len(_squares(self._partners))})"
 
     def to_squares(self) -> tuple[Square, ...]:
         """The squares, canonically ordered and sorted lexicographically."""
-        return _squares(self._partners)
+        return tuple(map(Square._make, _squares(self._partners).tolist()))
 
     def local_involutions(self, side: str) -> tuple[Permutation, ...]:
         """The local involutions read off the grid involution.
@@ -266,7 +272,7 @@ class StructureSet:
         return _frozen(StructureSet, self._partners[..., ::-1].transpose(1, 0, 2).copy())
 
     def to_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "squares": [list(sq) for sq in self.to_squares()]}
+        return {"m": self.m, "n": self.n, "squares": _squares(self._partners).tolist()}
 
 
 # -- construction ------------------------------------------------------------------
@@ -341,10 +347,7 @@ class PartialStructureSet:
         return int(np.count_nonzero(self._partners[..., 0]))
 
     def to_squares(self) -> tuple[Square, ...]:
-        return _squares(self._partners)
-
-    def is_total(self) -> bool:
-        return bool(self._partners[..., 0].all())
+        return tuple(map(Square._make, _squares(self._partners).tolist()))
 
     def merge(self, other: "PartialStructureSet") -> "PartialStructureSet":
         """Union of defined cells; a pair defined in both is a conflict."""

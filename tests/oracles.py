@@ -13,9 +13,11 @@ statistics, listed structure sets and a relabeling-orbit search instead of
 the census DP and Burnside's lemma, one ``FpfInvolution`` per row instead of
 the vectorized tuple check, listed tuples instead of the batched
 enumeration, one ``randbelow`` call per sampler step instead of the
-block-drawn tuple, and a Python cycle walk, a point-by-point orbit search
+block-drawn tuple, a Python cycle walk, a point-by-point orbit search
 and one ``randbelow`` call per letter instead of the array group layer's
-pointer doubling, label hooking and block-drawn Jordan words.
+pointer doubling, label hooking and block-drawn Jordan words, an
+``np.unique`` over every covered cell instead of the low-corner square
+view, and the square-and-merge completion instead of the s0 fill table.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from bmwgroups.errors import (
     TripleMatchingError,
 )
 from bmwgroups.perm import FpfInvolution, enumerate_fpf, pairing, random_fpf_images
+from bmwgroups.radu import blueprint, free_block
 from bmwgroups.randmodel import (
     InvolutionTuple,
     MidpointResult,
@@ -42,6 +45,7 @@ from bmwgroups.randmodel import (
 )
 from bmwgroups.structure import (
     DEFAULT_CENSUS_GUARD,
+    PartialStructureSet,
     Square,
     iter_structure_sets,
     validate,
@@ -303,6 +307,36 @@ def partner_table_fault(m, n, table, partial=False):
         if table.get((i, l)) != (j, k):
             return DegreeError, f"{what} table violates the square-swap law"
     return None
+
+
+def squares_by_unique(s):
+    """The canonical squares of a (partial) structure set, sorted.
+
+    Every covered cell gives the square through it and its partner, and
+    ``np.unique`` removes the repeats of the squares with two or four cells.
+    """
+    table = s._partners
+    covered = table[..., 0] > 0
+    rows, cols = np.meshgrid(np.arange(1, s.m + 1), np.arange(1, s.n + 1), indexing="ij")
+    here, there = np.stack([rows, cols], axis=-1)[covered], table[covered]
+    corners = np.concatenate([np.minimum(here, there), np.maximum(here, there)], axis=1)
+    return tuple(Square(*sq) for sq in np.unique(corners, axis=0).tolist())
+
+
+def extension_by_merge(m, n, filler=None):
+    """The s0 extension by squares: the blueprint's squares, merged with one
+    square per filler pair, then completed with diagonal squares."""
+    base = PartialStructureSet.from_squares(m, n, [sq for sq, _ in blueprint(m, n).tagged])
+    if filler:
+        rows, cols = free_block(m, n)
+        squares = [
+            Square(row, k, row, sigma(k))
+            for row, sigma in zip(rows, filler)
+            for k in cols
+            if k <= sigma(k)
+        ]
+        base = base.merge(PartialStructureSet.from_squares(m, n, squares))
+    return base.complete_with_diagonal()
 
 
 def census_count_by_enumeration(m, n, guard=DEFAULT_CENSUS_GUARD):

@@ -80,6 +80,23 @@ class TestFormats:
         for doc in docs:
             assert formats.dumps(doc) == self._stdlib(doc)
 
+    @pytest.mark.parametrize("m,n,filler_seed", [(32, 60, None), (100, 200, 7)])
+    def test_s0_document_roundtrip_at_scale(self, capsys, m, n, filler_seed):
+        from bmwgroups import radu
+
+        argv = ["s0", "--m", str(m), "--n", str(n)]
+        filler = None
+        if filler_seed is not None:
+            argv += ["--filler-seed", str(filler_seed)]
+            filler = radu.random_filler(m, n, RngState(filler_seed))
+        code, out, _err = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        s = radu.extension(m, n, filler)
+        assert formats.structure_set_from_document(doc) == s
+        if filler_seed is not None:
+            assert formats.dumps(doc) == out == self._stdlib(doc)
+
     def test_dumps_matches_the_stdlib_encoder_on_edge_cases(self):
         doc = {
             "empty_list": [],
@@ -363,7 +380,7 @@ class TestS0:
         assert out1 != out2
 
     def test_filler_document_bytes_pinned(self, capsys):
-        # the merge and diagonal completion of a filled free block, byte for byte
+        # a filled free block over the base, and its squares read off their low corners, byte for byte
         code, out, _ = run(capsys, "s0", "--m", "14", "--n", "16", "--filler-seed", "7")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (

@@ -3,11 +3,13 @@ import math
 import pytest
 
 from bmwgroups import formats
-from bmwgroups.errors import RangeError
+from bmwgroups.errors import ConflictingPairError, RangeError
 from bmwgroups.perm import Permutation
 from bmwgroups.permgroup import PermutationGroup
 from bmwgroups.radu import (
     ClaimCheck,
+    S0Blueprint,
+    TaggedSquare,
     base_partial_set,
     blueprint,
     delta,
@@ -20,6 +22,8 @@ from bmwgroups.radu import (
 )
 from bmwgroups.rng import RngState
 from bmwgroups.structure import Square, validate
+
+from .oracles import extension_by_merge
 
 
 def cyc(n, *cycles):
@@ -228,6 +232,35 @@ class TestExtension:
         assert s.partner(11, 12) == (11, 13)
         assert s.partner(11, 14) == (11, 16)
         assert s.partner(11, 15) == (11, 15)
+
+    def test_filler_row_of_wrong_degree_refused(self):
+        with pytest.raises(RangeError, match="degree n"):
+            extension(14, 20, [cyc(21, (12, 13))])
+
+    def test_filler_row_that_is_not_an_involution_refused(self):
+        with pytest.raises(RangeError, match="must be involutions"):
+            extension(14, 20, [cyc(20, (12, 13, 14))])
+
+    def test_base_covering_the_free_block_conflicts_with_a_filler(self):
+        bp = blueprint(14, 20)
+        clash = TaggedSquare(Square(11, 12, 11, 12), "clash")
+        sigma = cyc(20, (12, 13), (14, 16))
+        with pytest.raises(ConflictingPairError) as err:
+            S0Blueprint(14, 20, bp.tagged + (clash,)).extension([sigma])
+        assert err.value.pair == (11, 12)
+
+    @pytest.mark.parametrize("m", range(13, 17))
+    def test_fill_table_equals_the_merged_squares(self, m):
+        for n in range(14, 41):
+            assert extension(m, n) == extension_by_merge(m, n)
+            for seed in (1, 2):
+                filler = random_filler(m, n, RngState(seed))
+                assert extension(m, n, filler) == extension_by_merge(m, n, filler)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_fill_table_equals_the_merged_squares_at_scale(self, seed):
+        filler = random_filler(60, 120, RngState(seed))
+        assert extension(60, 120, filler) == extension_by_merge(60, 120, filler)
 
     def test_random_filler_entries_supported_on_block(self):
         rows, cols = free_block(15, 24)

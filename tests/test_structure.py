@@ -43,6 +43,7 @@ from .oracles import (
     census_classes_by_orbit_bfs,
     census_count_by_enumeration,
     partner_table_fault,
+    squares_by_unique,
     structure_set_tables_by_filter,
 )
 
@@ -368,6 +369,37 @@ class TestPresentation:
         for s in iter_structure_sets(2, 2):
             lines = presentation_text(s).strip().split("\n")
             assert len(lines) - 1 == 2 + 2 + len(s.to_squares())
+
+
+class TestSquareView:
+    """The low-corner square view against an ``np.unique`` over every covered cell."""
+
+    @staticmethod
+    def assert_matches_oracle(s):
+        expected, squares = squares_by_unique(s), s.to_squares()
+        assert squares == expected
+        assert all(type(sq) is Square for sq in squares)
+        if isinstance(s, StructureSet):
+            assert s.to_dict()["squares"] == [list(sq) for sq in expected]
+            assert repr(s).endswith(f"squares={len(expected)})")
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (2, 4), (3, 4)])
+    def test_every_listed_set(self, m, n):
+        for s in iter_structure_sets(m, n):
+            self.assert_matches_oracle(s)
+
+    @pytest.mark.parametrize("m,n", [(13, 14), (20, 40)])
+    def test_base_partial_set_lists_no_free_cell(self, m, n):
+        partial = radu.base_partial_set(m, n)
+        self.assert_matches_oracle(partial)
+        cells = [cell for sq in partial.to_squares() for cell in sq.cells()]
+        assert len(cells) == len(set(cells)) == len(partial)
+        assert all(partial.covers(i, k) for i, k in cells)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_filled_extension(self, seed):
+        filler = radu.random_filler(14, 20, RngState(seed))
+        self.assert_matches_oracle(radu.extension(14, 20, filler))
 
 
 class TestPartialAndMerge:
