@@ -26,6 +26,16 @@ Only when none applies does the deterministic stabilizer chain in
 be decided within a budget are reported as ``None`` ("unknown"), never
 coerced to ``False``.
 
+Past the exact route, Alt(d) is recognized by Jordan's theorem from random
+words in the generators (Seress, *Permutation Group Algorithms*, 2003,
+10.2).  Without an explicit rng the words come from one fixed stream, so
+word j is the same in every group with k generators.  Groups of one (k, d)
+shape are therefore classified together on their block-diagonal stack, a
+group of degree B*d whose row r is every group's row r, block b shifted by
+b*d: each word is composed once on the stack, a block whose word certifies
+leaves it, and transitivity and generator parity are read off the same
+kind of stack.  A group alone is a stack of one.
+
 Group analyses cache write-once on the instance; concurrent readers are safe
 once a value is computed, and analyses of distinct groups are independent.
 """
@@ -106,18 +116,45 @@ class GroupClassification:
         }
 
 
-def _cycle_lengths(img0: np.ndarray) -> np.ndarray:
-    """The lengths of the cycles of a 0-based image array, one per cycle.
+def _cycles(img0: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least point and the length of each cycle of a 0-based image array.
 
-    Pointer doubling labels each point with its cycle minimum: after t
-    rounds ``labels[x]`` is the least of the 2**t points x, g(x), g(g(x)),
-    ... and ``jump`` is g**(2**t), so ceil(log2 d) rounds cover every cycle.
+    No cycle may have more than ``span`` points: the degree, or on a
+    block-diagonal stack (:func:`_block_stack`) the block size, so the
+    cycles come ordered by block.  Pointer doubling labels each point with
+    its cycle minimum: after t rounds ``labels[x]`` is the least of the 2**t
+    points x, g(x), g(g(x)), ... and ``jump`` is g**(2**t), so
+    ceil(log2 span) rounds cover every cycle.
     """
-    labels, jump = np.arange(len(img0)), img0
-    for _ in range((len(img0) - 1).bit_length()):
+    points = np.arange(len(img0))
+    labels, jump = points, img0
+    for _ in range((span - 1).bit_length()):
         labels = np.minimum(labels, labels[jump])
         jump = jump[jump]
-    return np.bincount(labels, minlength=len(img0))[labels == np.arange(len(img0))]
+    minima = np.flatnonzero(labels == points)
+    return minima, np.bincount(labels)[minima]
+
+
+def _isolated_prime(lengths: np.ndarray, degree: int) -> Optional[int]:
+    """The largest prime p <= degree-3 such that a power of a permutation is a p-cycle.
+
+    ``lengths`` are the permutation's cycle lengths.  A permutation with a
+    p-cycle whose other cycle lengths p does not divide powers to that
+    p-cycle: raise it to the lcm of the other lengths.  So p counts when it
+    is the only cycle length divisible by p and occurs once.  None when no p
+    counts.
+    """
+    counts = np.bincount(lengths)
+    present = np.flatnonzero(counts).tolist()
+    for p in reversed(present):
+        if (
+            p <= degree - 3
+            and counts[p] == 1
+            and _is_prime(p)
+            and not any(q % p == 0 for q in present if q != p)
+        ):
+            return p
+    return None
 
 
 def _orbit_labels(gens: np.ndarray) -> np.ndarray:
@@ -210,28 +247,11 @@ class PermutationGroup:
 
     def _has_odd_generator(self) -> bool:
         """Whether some generator is odd: d minus its cycle count is odd."""
-        return any((self.degree - len(_cycle_lengths(g))) % 2 for g in self.images0)
+        return _odd_generators([self])[0]
 
     def _prime_cycle(self, img0: np.ndarray) -> Optional[int]:
-        """The largest prime p <= d-3 such that a power of ``img0`` is a p-cycle.
-
-        A permutation with a p-cycle whose other cycle lengths p does not
-        divide powers to that p-cycle: raise it to the lcm of the other
-        lengths.  So p counts when it is the only cycle length divisible by
-        p and occurs once.  None when no p counts.
-        """
-        d = self.degree
-        counts = np.bincount(_cycle_lengths(img0))
-        present = np.flatnonzero(counts).tolist()
-        for p in reversed(present):
-            if (
-                p <= d - 3
-                and counts[p] == 1
-                and _is_prime(p)
-                and not any(q % p == 0 for q in present if q != p)
-            ):
-                return p
-        return None
+        """:func:`_isolated_prime` of the cycle lengths of ``img0``."""
+        return _isolated_prime(_cycles(img0, self.degree)[1], self.degree)
 
     # -- order -----------------------------------------------------------------
 
@@ -264,7 +284,8 @@ class PermutationGroup:
 
         * Every generator a transposition: the group is the direct product of
           Sym(O) over its orbits O, so the order is the product of the
-          ``|O|!``.
+          ``|O|!``.  With one orbit it is Sym(d), which is primitive and
+          2-transitive.
         * Jordan (Wielandt, *Finite Permutation Groups*, Thm 13.9;
           Dixon-Mortimer, *Permutation Groups*, Thm 3.3E): a primitive group
           containing a p-cycle, p prime and p <= d-3, contains Alt(d).  The
@@ -281,6 +302,9 @@ class PermutationGroup:
         gens = self.images0
         if ((gens != np.arange(d)).sum(axis=1) == 2).all():
             sizes = np.bincount(_orbit_labels(gens))
+            self._transitive = bool(sizes[0] == d)
+            if self._transitive:  # the group is Sym(d)
+                self._primitive = self._two_transitive = True
             return math.prod(math.factorial(size) for size in sizes.tolist())
         if d < 5 or not self.is_transitive():
             return None
@@ -485,36 +509,27 @@ class PermutationGroup:
 
         jordan
             Semi-decision procedure for degrees beyond the stabilizer-chain
-            guard.  Certifies containment from transitivity plus a group
-            element whose cycle type powers to a p-cycle, p prime <= d-3
-            (Jordan).  A found p > d/2 additionally certifies primitivity for
-            free: a nontrivial block system would need blocks of size
-            >= p > d/2.  Smaller p fall back to the explicit primitivity
-            check when the degree permits.  Returns None when the word budget
-            is exhausted without a certificate.
+            guard.  Certifies containment from transitivity plus a random
+            word in the generators whose cycle type powers to a p-cycle,
+            p prime <= d-3 (Jordan).  A found p > d/2 additionally
+            certifies primitivity for free: a nontrivial block system would
+            need blocks of size >= p > d/2.  Smaller p fall back to the
+            explicit primitivity check once the words are spent, when the
+            degree permits.  Returns None when the word budget is exhausted
+            without a certificate.  Without ``rng`` the words come from one
+            fixed stream, so word j is the same in every group with as many
+            generators, and a batch of such groups composes it once on their
+            block-diagonal stack (see the module docstring).  With ``rng``,
+            its draws are those of a loop over the words up to the first
+            certifying one.
         """
-        d = self.degree
         if strategy not in ("exact", "jordan"):
             raise UsageError(f"unknown strategy {strategy!r}")
+        if strategy == "jordan":
+            return _alternating_by_jordan([self], rng, words, max_word_len)[0]
         if not len(self.images0):
-            return d <= 2  # Alt(d) is trivial only for d <= 2
-        if strategy == "exact" or d < 5:
-            return self.order() >= math.factorial(d) // 2
-        if not self.is_transitive():
-            return False
-        if rng is None:
-            rng = RngState(_JORDAN_SEED)
-        small_p = False
-        for _ in range(words):
-            p = self._prime_cycle(self._word_element(rng, max_word_len))
-            if p is None:
-                continue
-            if 2 * p > d:
-                return True
-            small_p = True
-        if small_p and d <= DEFAULT_PRIMITIVITY_GUARD and self.is_primitive():
-            return True
-        return None
+            return self.degree <= 2  # Alt(d) is trivial only for d <= 2
+        return self.order() >= math.factorial(self.degree) // 2
 
     # -- aggregation ----------------------------------------------------------------
 
@@ -533,45 +548,226 @@ class PermutationGroup:
         ``auto`` selects exact analysis up to ``exact_max_degree`` and the
         jordan route beyond it.
         """
-        if strategy not in ("auto", "exact", "jordan"):
-            raise UsageError(f"unknown strategy {strategy!r}")
+        return _classify_groups(
+            [self],
+            strategy,
+            rng=rng,
+            order_guard=order_guard,
+            exact_max_degree=exact_max_degree,
+            words=words,
+            max_word_len=max_word_len,
+        )[0]
+
+    def _exact_classification(self, order_guard: int) -> GroupClassification:
         d = self.degree
-        if strategy == "auto":
-            strategy = "exact" if d <= exact_max_degree else "jordan"
-        transitive = self.is_transitive()
-        if strategy == "exact":
-            order = self.order(guard=order_guard)
-            return GroupClassification(
-                degree=d,
-                method="exact",
-                order=order,
-                is_transitive=transitive,
-                is_two_transitive=self.is_two_transitive() if d >= 2 else None,
-                is_primitive=self.is_primitive(),
-                contains_alternating=order >= math.factorial(d) // 2,
-                equals_symmetric=order == math.factorial(d),
-            )
-        contains_alt = self.contains_alternating(
-            "jordan", rng=rng, words=words, max_word_len=max_word_len
+        order = self.order(guard=order_guard)
+        return GroupClassification(
+            degree=d,
+            method="exact",
+            order=order,
+            is_transitive=self.is_transitive(),
+            is_two_transitive=self.is_two_transitive() if d >= 2 else None,
+            is_primitive=self.is_primitive(),
+            contains_alternating=order >= math.factorial(d) // 2,
+            equals_symmetric=order == math.factorial(d),
         )
-        if not self._has_odd_generator():
+
+    def _jordan_classification(
+        self, contains_alt: Optional[bool], odd: bool
+    ) -> GroupClassification:
+        """The jordan route's classification from its answer and generator parity."""
+        d = self.degree
+        if not odd:
             equals_sym = False
         elif contains_alt is True:
             equals_sym = True  # an odd generator rules out G <= Alt(d)
         else:
             equals_sym = None
-        two_transitive = True if (contains_alt is True and d >= 4) else None
-        primitive = True if (contains_alt is True and d >= 3) else None
         return GroupClassification(
             degree=d,
             method="jordan",
             order=None,
-            is_transitive=transitive,
-            is_two_transitive=two_transitive,
-            is_primitive=primitive,
+            is_transitive=self.is_transitive(),
+            is_two_transitive=True if (contains_alt is True and d >= 4) else None,
+            is_primitive=True if (contains_alt is True and d >= 3) else None,
             contains_alternating=contains_alt,
             equals_symmetric=equals_sym,
         )
+
+
+# -- batches of groups on one block-diagonal stack ---------------------------------------
+
+
+def _by_shape(groups: Sequence[PermutationGroup]) -> list[list[PermutationGroup]]:
+    """The groups, gathered by the (k, d) shape of their generator arrays."""
+    shapes: dict[tuple[int, int], list[PermutationGroup]] = {}
+    for g in groups:
+        shapes.setdefault(g.images0.shape, []).append(g)
+    return list(shapes.values())
+
+
+def _block_stack(groups: Sequence[PermutationGroup]) -> PermutationGroup:
+    """The block-diagonal stack of groups of one (k, d) shape, of degree B*d.
+
+    Row r is every group's row r, block b shifted by b*d, so a word in the
+    stack's generators is that word in every block, and the stack's orbits
+    and cycles are those of its blocks.  The stack of one group is the group.
+    """
+    if len(groups) == 1:
+        return groups[0]
+    k, d = groups[0].images0.shape
+    table = np.stack([g.images0 for g in groups], axis=1)
+    table += np.arange(0, len(groups) * d, d)[:, None]
+    table.flags.writeable = False
+    # the blocks' rows are distinct and move points, so the stack's rows are
+    # its generators as they stand
+    stack = object.__new__(PermutationGroup)
+    stack.degree, stack._generators = len(groups) * d, None
+    stack.images0 = table.reshape(k, stack.degree)
+    return stack
+
+
+def _mark_transitive(groups: Sequence[PermutationGroup]) -> None:
+    """Cache ``is_transitive`` of every group: one orbit labelling per shape.
+
+    A block is one orbit exactly when all its labels are its first point.
+    """
+    for members in _by_shape([g for g in groups if g._transitive is None]):
+        labels = _orbit_labels(_block_stack(members).images0).reshape(len(members), -1)
+        for g, transitive in zip(members, (labels == labels[:, :1]).all(axis=1).tolist()):
+            g._transitive = transitive
+
+
+def _odd_generators(groups: Sequence[PermutationGroup]) -> list[bool]:
+    """Whether each group has an odd generator, one cycle count per stack row.
+
+    The rows stop once every block has an odd one.
+    """
+    odd: dict[int, bool] = {}
+    for members in _by_shape(groups):
+        d = members[0].degree
+        found = np.zeros(len(members), dtype=bool)
+        for row in _block_stack(members).images0:
+            if found.all():
+                break
+            cycles = np.bincount(_cycles(row, d)[0] // d, minlength=len(members))
+            found |= (d - cycles) % 2 == 1
+        odd.update(zip(map(id, members), found.tolist()))
+    return [odd[id(g)] for g in groups]
+
+
+def _alternating_by_jordan(
+    groups: Sequence[PermutationGroup],
+    rng: Optional[RngState],
+    words: int,
+    max_word_len: int,
+) -> list[Optional[bool]]:
+    """``contains_alternating("jordan")`` of each group.
+
+    Groups with no generator or of degree below 5 are decided exactly, and
+    intransitive ones are not Alt(d)-containing.  The rest draw their words
+    from the default stream, started afresh for each shape, so one
+    :func:`_jordan_words` call serves all groups of a shape.  An explicit
+    ``rng`` is one stream, consumed as the loop would, so it serves one group.
+    """
+    if rng is not None and len(groups) > 1:
+        raise UsageError("an explicit rng serves one group")
+    _mark_transitive(groups)
+    answers: dict[int, Optional[bool]] = {}
+    pending = []
+    for g in groups:
+        d = g.degree
+        if not len(g.images0):
+            answers[id(g)] = d <= 2  # Alt(d) is trivial only for d <= 2
+        elif d < 5:
+            answers[id(g)] = g.order() >= math.factorial(d) // 2
+        elif not g.is_transitive():
+            answers[id(g)] = False
+        else:
+            pending.append(g)
+    for members in _by_shape(pending):
+        stream = RngState(_JORDAN_SEED) if rng is None else rng
+        answers.update(zip(map(id, members), _jordan_words(members, stream, words, max_word_len)))
+    return [answers[id(g)] for g in groups]
+
+
+def _jordan_words(
+    groups: Sequence[PermutationGroup], rng: RngState, words: int, max_word_len: int
+) -> list[Optional[bool]]:
+    """Jordan certificates of transitive groups of one (k, d) shape, d >= 5.
+
+    Each word is composed once, by :meth:`PermutationGroup._word_element` on
+    the block-diagonal stack of the groups still uncertified, and its cycles
+    are read per block.  A block whose word has a prime cycle length p in
+    (d/2, d-3] is certified (that p is :func:`_isolated_prime`'s answer,
+    since no other length reaches d/2) and leaves the stack; the stream stops
+    once none is left.  A block's flag for a smaller p is set from
+    :func:`_isolated_prime` on its cycles while it is unset, and matters
+    only once the words are spent: then :meth:`PermutationGroup.is_primitive`
+    decides.
+    """
+    d = groups[0].degree
+    sieve = np.ones(d + 1, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, math.isqrt(d) + 1):
+        sieve[f * f::f] = False
+    large = sieve & (2 * np.arange(d + 1) > d) & (np.arange(d + 1) <= d - 3)
+    answers: list[Optional[bool]] = [None] * len(groups)
+    small = np.zeros(len(groups), dtype=bool)
+    live = np.arange(len(groups))  # the group of each block of the stack
+    stack = _block_stack(groups)
+    for _ in range(words):
+        minima, lengths = _cycles(stack._word_element(rng, max_word_len), d)
+        blocks = minima // d
+        hit = np.zeros(len(live), dtype=bool)
+        hit[blocks[large[lengths]]] = True
+        bounds = np.searchsorted(blocks, np.arange(len(live) + 1)).tolist()
+        for b in np.flatnonzero(~hit & ~small[live]).tolist():
+            small[live[b]] = _isolated_prime(lengths[bounds[b]:bounds[b + 1]], d) is not None
+        if hit.any():
+            for i in live[hit].tolist():
+                answers[i] = True
+            live = live[~hit]
+            if not len(live):
+                break
+            stack = _block_stack([groups[i] for i in live.tolist()])
+    for i in live.tolist():
+        if small[i] and d <= DEFAULT_PRIMITIVITY_GUARD and groups[i].is_primitive():
+            answers[i] = True
+    return answers
+
+
+def _classify_groups(
+    groups: Sequence[PermutationGroup],
+    strategy: str = "auto",
+    *,
+    rng: Optional[RngState] = None,
+    order_guard: int = DEFAULT_ORDER_GUARD,
+    exact_max_degree: int = 128,
+    words: int = DEFAULT_JORDAN_WORDS,
+    max_word_len: int = DEFAULT_JORDAN_WORD_LEN,
+) -> list[GroupClassification]:
+    """``classify`` of each group; the jordan route runs on stacks of one shape.
+
+    The caller bounds the stacks' memory: a shape's stack holds k·B·d
+    entries for its B groups.  An explicit ``rng`` serves one jordan-route
+    group.
+    """
+    if strategy not in ("auto", "exact", "jordan"):
+        raise UsageError(f"unknown strategy {strategy!r}")
+    exact = [
+        strategy == "exact" or (strategy == "auto" and g.degree <= exact_max_degree)
+        for g in groups
+    ]
+    jordan = [g for g, e in zip(groups, exact) if not e]
+    contains = iter(_alternating_by_jordan(jordan, rng, words, max_word_len))
+    odd = iter(_odd_generators(jordan))
+    return [
+        g._exact_classification(order_guard)
+        if e
+        else g._jordan_classification(next(contains), next(odd))
+        for g, e in zip(groups, exact)
+    ]
 
 
 # -- module-level operation wrappers -------------------------------------------------

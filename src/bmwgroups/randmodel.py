@@ -17,7 +17,8 @@ shared-orbit statistic read the black edges; the white balls walk the
 array, and connectivity is the transitivity of the group of its rows.  A
 derived structure set's b-parts are the tuple's image array, and its
 a-parts differ from the row's own coordinate only on black edges.  Every Monte-Carlo kind reads ``(B, m, n)`` batches of one sampler,
-in memory-bounded chunks.
+in memory-bounded chunks; ``certificate_rates`` classifies the B sides of
+a chunk's tuples together, sharing their Jordan words.
 
 Certificates (names used in reports):
 
@@ -45,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +59,13 @@ from .errors import (
     UsageError,
 )
 from .perm import FpfInvolution, count_fpf, enumerate_fpf
-from .permgroup import DEFAULT_ORDER_GUARD, GroupClassification, PermutationGroup
+from .permgroup import (
+    DEFAULT_ORDER_GUARD,
+    GroupClassification,
+    PermutationGroup,
+    _classify_groups,
+    _mark_transitive,
+)
 from .rng import RngState, randbelow_draft
 from .structure import StructureSet, _frozen
 
@@ -557,19 +564,75 @@ def irr_certificate(
     classifications are omitted and dependent certificates read unknown.
     ``order_guard`` bounds the degree of both classifications' exact chains.
     """
-    graph = match_graph(t)
-    triple = graph.triple_witness()
-    overlap = graph.overlap_witness()
-    mid = graph.midpoint() if t.m >= 3 else None
-    # The group of the tuple's rows is transitive exactly when the match graph
-    # is connected; without triple matchings it is the B-side local action.
-    b_group = PermutationGroup._from_images0(t.n, t.images - 1)
-    a_cls = b_cls = None
-    if triple is None:
-        # the A-side local involutions: the structure set's a-part columns
-        a_group = PermutationGroup._from_images0(t.m, graph._a_parts().T - 1)
-        a_cls = a_group.classify("auto", order_guard=order_guard, exact_max_degree=exact_max_degree)
-        b_cls = b_group.classify(
+    return _certificates(
+        [t],
+        radius,
+        rng=rng,
+        exact_max_degree=exact_max_degree,
+        jordan_words=jordan_words,
+        jordan_word_len=jordan_word_len,
+        order_guard=order_guard,
+    )[0]
+
+
+def _certificates(
+    tuples: Iterable[InvolutionTuple],
+    radius: int,
+    *,
+    rng: Optional[RngState] = None,
+    exact_max_degree: int = 128,
+    jordan_words: int = 200,
+    jordan_word_len: int = 100,
+    order_guard: int = DEFAULT_ORDER_GUARD,
+) -> list[CertificateReport]:
+    """:func:`irr_certificate` of each tuple, the B sides of all of them at once.
+
+    The match-graph certificates and the A side are read one tuple at a time,
+    and each tuple is dropped once read.  The B-side groups are then
+    classified together: their transitivity by one orbit labelling, and their
+    Jordan words composed once for every group with the same number of
+    distinct rows (:func:`~bmwgroups.permgroup._classify_groups`).  Their
+    generator entries are what the caller bounds.  An explicit ``rng``
+    serves one tuple.
+    """
+    fronts, b_groups = [], []
+    for t in tuples:
+        graph = match_graph(t)
+        triple = graph.triple_witness()
+        overlap = graph.overlap_witness()
+        mid = graph.midpoint() if t.m >= 3 else None
+        a_cls = None
+        if triple is None:
+            # the A-side local involutions: the structure set's a-part columns
+            a_group = PermutationGroup._from_images0(t.m, graph._a_parts().T - 1)
+            a_cls = a_group.classify(
+                "auto", order_guard=order_guard, exact_max_degree=exact_max_degree
+            )
+        fronts.append(
+            dict(
+                m=t.m,
+                n=t.n,
+                radius=radius,
+                no_triple_matchings=triple is None,
+                triple_witness=triple,
+                no_overlapping_matches=overlap is None,
+                overlap_witness=overlap,
+                midpoint=None if mid is None else mid.holds,
+                midpoint_witness=None if mid is None else mid.failing,
+                white_ball_vertex=white_ball_vertex(graph, radius),
+                has_black_edge=bool(graph.black_edges()),
+                match_statistic=graph.match_statistic(),
+                a_local=a_cls,
+            )
+        )
+        # The group of the tuple's rows is transitive exactly when the match
+        # graph is connected; without triple matchings it is the B-side local
+        # action.
+        b_groups.append(PermutationGroup._from_images0(t.n, t.images - 1))
+    _mark_transitive(b_groups)
+    b_cls = iter(
+        _classify_groups(
+            [g for g, front in zip(b_groups, fronts) if front["no_triple_matchings"]],
             "auto",
             rng=rng,
             order_guard=order_guard,
@@ -577,23 +640,15 @@ def irr_certificate(
             words=jordan_words,
             max_word_len=jordan_word_len,
         )
-    return CertificateReport(
-        m=t.m,
-        n=t.n,
-        radius=radius,
-        no_triple_matchings=triple is None,
-        triple_witness=triple,
-        no_overlapping_matches=overlap is None,
-        overlap_witness=overlap,
-        midpoint=None if mid is None else mid.holds,
-        midpoint_witness=None if mid is None else mid.failing,
-        white_ball_vertex=white_ball_vertex(graph, radius),
-        connected=b_group.is_transitive(),
-        has_black_edge=bool(graph.black_edges()),
-        match_statistic=graph.match_statistic(),
-        a_local=a_cls,
-        b_local=b_cls,
     )
+    return [
+        CertificateReport(
+            **front,
+            connected=g.is_transitive(),
+            b_local=next(b_cls) if front["no_triple_matchings"] else None,
+        )
+        for front, g in zip(fronts, b_groups)
+    ]
 
 
 # -- exact probabilities ----------------------------------------------------------------------
@@ -882,15 +937,22 @@ def monte_carlo(
     else:
         result = McResult(kind, m, n, trials, rng.seed, "sampling")
 
-    # map and chain drop each batch before the next one is drawn
     batches = _image_batches(m_eff, n, trials, rng)
     if kind == "certificate_rates":
-        rows = [
-            _certificate_flags(irr_certificate(tup, radius=radius, order_guard=order_guard))
-            for tup in map(InvolutionTuple, itertools.chain.from_iterable(batches))
-        ]
+        # At most _CHUNK_ENTRIES / 64 generator entries (1 MiB) per B-side
+        # stack keep its temporaries below the sampler's.
+        piece = max(1, _CHUNK_ENTRIES // 64 // (m_eff * n))
+        rows = []
+        for imgs in batches:
+            for first in range(0, len(imgs), piece):
+                reports = _certificates(
+                    map(InvolutionTuple, imgs[first:first + piece]), radius, order_guard=order_guard
+                )
+                rows += map(_certificate_flags, reports)
+            del imgs  # free the batch before the next one is drawn
         columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
     else:
+        # map drops each batch before the next one is drawn
         columns = {_PRIMARY_STAT[kind]: np.concatenate(list(map(_STATISTICS[kind], batches)))}
     for name, values in columns.items():
         if trials == 0:

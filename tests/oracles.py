@@ -15,7 +15,8 @@ the vectorized tuple check, listed tuples instead of the batched
 enumeration, one ``randbelow`` call per sampler step instead of the
 block-drawn tuple, a Python cycle walk, a point-by-point orbit search
 and one ``randbelow`` call per letter instead of the array group layer's
-pointer doubling, label hooking and block-drawn Jordan words, an
+pointer doubling, label hooking and block-drawn Jordan words, one word
+loop per group instead of words shared on a block-diagonal stack, an
 ``np.unique`` over every covered cell instead of the low-corner square
 view, and the square-and-merge completion instead of the s0 fill table.
 """
@@ -35,6 +36,7 @@ from bmwgroups.errors import (
     TripleMatchingError,
 )
 from bmwgroups.perm import FpfInvolution, enumerate_fpf, pairing, random_fpf_images
+from bmwgroups.permgroup import DEFAULT_PRIMITIVITY_GUARD
 from bmwgroups.radu import blueprint, free_block
 from bmwgroups.randmodel import (
     InvolutionTuple,
@@ -178,6 +180,36 @@ def word_by_scalar_loop(gens0, rng, max_word_len):
     for i in letters[1:]:
         cur = [gens0[i][x] for x in cur]
     return cur
+
+
+def contains_alternating_by_word_loop(group, rng, words, max_word_len):
+    """``contains_alternating("jordan")`` by one scalar word loop for one group.
+
+    Degree below 5 is decided by closure, and transitivity by an orbit
+    search.  Each word is drawn by :func:`word_by_scalar_loop` and its
+    p-cycle found by :func:`prime_cycle_by_walk`; p > d/2 certifies at once,
+    and a smaller p defers to ``group.is_primitive()`` once the words are
+    spent.  ``rng`` is left after the first certifying word, or the last.
+    """
+    d = group.degree
+    rows = group.images0.tolist()
+    if not rows:
+        return d <= 2
+    if d < 5:
+        return contains_alternating_by_closure(group.generators, d)
+    if len(orbit_by_search(rows)) < d:
+        return False
+    small_p = False
+    for _ in range(words):
+        p = prime_cycle_by_walk(word_by_scalar_loop(rows, rng, max_word_len))
+        if p is None:
+            continue
+        if 2 * p > d:
+            return True
+        small_p = True
+    if small_p and d <= DEFAULT_PRIMITIVITY_GUARD and group.is_primitive():
+        return True
+    return None
 
 
 def _set_partitions(items):

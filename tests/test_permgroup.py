@@ -7,10 +7,15 @@ import pytest
 
 import bmwgroups.rng as rng_module
 from bmwgroups import radu, schreier
-from bmwgroups.errors import ResourceError
-from bmwgroups.perm import Permutation
+from bmwgroups.errors import ResourceError, UsageError
+from bmwgroups.perm import Permutation, random_fpf_images
 from bmwgroups.permgroup import (
+    _JORDAN_SEED,
+    DEFAULT_JORDAN_WORD_LEN,
+    DEFAULT_JORDAN_WORDS,
     PermutationGroup,
+    _alternating_by_jordan,
+    _classify_groups,
     contains_alternating,
     group_order,
     is_primitive,
@@ -29,6 +34,7 @@ from bmwgroups.rng import RngState
 from .oracles import (
     closure_order,
     contains_alternating_by_closure,
+    contains_alternating_by_word_loop,
     is_primitive_by_all_blocks,
     is_primitive_by_partition_scan,
     is_two_transitive_by_closure,
@@ -324,6 +330,27 @@ class TestTheoremRoute:
             fresh = PermutationGroup(degree, gens)
             assert cls.is_primitive == fresh.is_primitive()
             assert cls.is_two_transitive == fresh.is_two_transitive()
+
+    def test_transposition_branch_records_symmetric_facts(self):
+        # a transitive group of transpositions is Sym(d): primitive and 2-transitive
+        rng = RngState(4321)
+        seen = set()
+        for _ in range(80):
+            degree = 2 + rng.randbelow(8)
+            gens = [_random_transposition(degree, rng) for _ in range(1 + rng.randbelow(degree))]
+            g = PermutationGroup(degree, gens)
+            fresh = PermutationGroup(degree, gens)
+            transitive = fresh.is_transitive()
+            seen.add(transitive)
+            order = g.order()
+            facts = (True, True) if transitive else (None, None)
+            assert (g._primitive, g._two_transitive) == facts
+            assert g.is_transitive() is transitive
+            assert g.is_primitive() == is_primitive_by_all_blocks(fresh)
+            assert g.is_two_transitive() == fresh.is_two_transitive()
+            if order <= 5040:
+                assert g.is_two_transitive() == is_two_transitive_by_closure(gens, degree)
+        assert seen == {False, True}
 
     def test_s0_local_actions_match_chain(self):
         for m in range(13, 17):
@@ -628,6 +655,122 @@ class TestAlternatingRecognition:
         )
         assert contains_alternating(g, "jordan", rng=RngState(9)) in (None, False)
         assert contains_alternating(g, "exact") is False
+
+
+def _stack_equals_word_loop(groups, words=DEFAULT_JORDAN_WORDS):
+    """The stack's answers, checked against one word loop per group on a fresh copy."""
+    got = _alternating_by_jordan(groups, None, words, DEFAULT_JORDAN_WORD_LEN)
+    fresh = [PermutationGroup._from_images0(g.degree, g.images0) for g in groups]
+    assert got == [
+        contains_alternating_by_word_loop(
+            g, RngState(_JORDAN_SEED), words, DEFAULT_JORDAN_WORD_LEN
+        )
+        for g in fresh
+    ]
+    return got
+
+
+def _symmetric(degree):
+    return group(
+        degree,
+        Permutation.transposition(degree, 1, 2),
+        Permutation.from_cycles(degree, [tuple(range(1, degree + 1))]),
+    )
+
+
+def _halves_tuple_group(n, seed):
+    """The group of six fixed-point-free involutions that each keep 1..n/2 in place as a set."""
+    rng = RngState(seed)
+    half = n // 2
+    rows = []
+    for _ in range(6):
+        low = random_fpf_images(half, rng)
+        high = [v + half for v in random_fpf_images(half, rng)]
+        rows.append(low + high)
+    return PermutationGroup._from_images0(n, np.array(rows) - 1)
+
+
+class TestJordanStack:
+    """Jordan words shared on a block-diagonal stack equal one word loop per group."""
+
+    @pytest.mark.parametrize("n, count", [(200, 40), (7778, 3)])
+    def test_sampled_b_sides(self, n, count):
+        groups = [_b_side_group(6, n, seed) for seed in range(count)]
+        got = _stack_equals_word_loop(groups)
+        assert True in got
+
+    def test_transitive_imprimitive_group_is_unknown(self):
+        assert _stack_equals_word_loop([group(130, *_wreath(2, 65))], words=40) == [None]
+
+    @pytest.mark.parametrize("degree", [12, 40])
+    def test_small_p_defers_to_primitivity(self, degree):
+        # the first 8 default words of Sym(degree) find only primes p <= degree/2
+        g = _symmetric(degree)
+        rows, rng = g.images0.tolist(), RngState(_JORDAN_SEED)
+        primes = {prime_cycle_by_walk(word_by_scalar_loop(rows, rng, 100)) for _ in range(8)}
+        assert primes - {None} and all(2 * p <= degree for p in primes - {None})
+        assert _stack_equals_word_loop([g], words=8) == [True]
+        assert g._primitive is True
+
+    def test_mixed_batch(self):
+        sampled = [_b_side_group(6, 200, seed) for seed in range(100, 130)]
+        first_words = [
+            word_by_scalar_loop(g.images0.tolist(), RngState(_JORDAN_SEED), 100) for g in sampled
+        ]
+        first_primes = list(map(prime_cycle_by_walk, first_words))
+        assert any(p and 2 * p > 200 for p in first_primes)  # some blocks certify on word 0
+        rows = sampled[0].images0.copy()
+        rows[1] = rows[0]  # two coinciding rows: k = 5
+        coinciding = PermutationGroup._from_images0(200, rows)
+        assert len(coinciding.images0) == 5
+        intransitive = _halves_tuple_group(200, 5)
+        batch = sampled + [
+            coinciding,
+            intransitive,
+            group(130, *_wreath(2, 65)),
+            _symmetric(40),
+            _symmetric(30),
+            _symmetric(20),
+            _symmetric(12),
+            group(4, cyc(4, (1, 2, 3)), cyc(4, (2, 3, 4))),
+            group(6, Permutation.identity(6)),
+            sampled[3],  # a group listed twice
+        ]
+        got = _stack_equals_word_loop(batch, words=60)
+        assert got[len(sampled):len(sampled) + 3] == [True, False, None]
+        assert got[-1] == got[3]
+        assert [g.is_transitive() for g in batch[len(sampled):]] == [
+            True, False, True, True, True, True, True, True, False, True
+        ]
+        # one word: each shape's answers read its own fresh stream
+        assert _stack_equals_word_loop(batch, words=1)[-7:-3] == [None, None, True, True]
+        classified = _classify_groups(batch, "jordan", words=60)
+        assert classified == [
+            PermutationGroup._from_images0(g.degree, g.images0).classify("jordan", words=60)
+            for g in batch
+        ]
+
+    @pytest.mark.parametrize("lowered", [False, True])
+    def test_explicit_rng_draws_as_the_word_loop(self, monkeypatch, lowered):
+        # lowered: about one draw in 16 is rejected; the limit is read at call time
+        real = rng_module.rejection_limit
+        if lowered:
+            monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
+        groups = [_b_side_group(6, 200, seed) for seed in range(6)]
+        groups += [_symmetric(40), group(130, *_wreath(2, 65))]
+        for seed, g in enumerate(groups):
+            rng, scalar = RngState(seed), RngState(seed)
+            fresh = PermutationGroup._from_images0(g.degree, g.images0)
+            got = g.contains_alternating("jordan", rng=rng, words=30)
+            assert got == contains_alternating_by_word_loop(fresh, scalar, 30, 100)
+            assert rng.index == scalar.index
+
+    def test_explicit_rng_serves_one_group(self):
+        groups = [_b_side_group(6, 200, seed) for seed in range(2)]
+        with pytest.raises(UsageError):
+            _alternating_by_jordan(groups, RngState(1), 10, 100)
+        with pytest.raises(UsageError):
+            _classify_groups(groups, "jordan", rng=RngState(1))
 
 
 class TestClassify:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bmwgroups.permgroup as permgroup
 import bmwgroups.randmodel as randmodel
 import bmwgroups.rng as rng_module
 from bmwgroups.errors import (
@@ -806,6 +807,24 @@ class TestMonteCarlo:
         for name, stat in result.stats.items():
             assert stat.mean == sum(row[name] for row in rows) / trials
 
+    @pytest.mark.parametrize("m, n, trials", [(6, 200, 100), (4, 130, 60)])
+    def test_certificate_rates_flags_equal_per_trial_certificates(self, monkeypatch, m, n, trials):
+        # every trial's B side shares its Jordan words with the batch's other groups
+        rng, rows, flags = RngState(6), [], _certificate_flags
+
+        def recorded(rep):
+            rows.append(flags(rep))
+            return rows[-1]
+
+        monkeypatch.setattr(randmodel, "_certificate_flags", recorded)
+        monte_carlo("certificate_rates", m, n, trials, rng)
+        tuples = [sample_tuple(m, n, rng.derive(t)) for t in range(trials)]
+        reports = [irr_certificate(t) for t in tuples]
+        assert rows == list(map(flags, reports))
+        assert randmodel._certificates(tuples, randmodel.DEFAULT_BALL_RADIUS) == reports
+        assert any(rep.b_local and rep.b_local.method == "jordan" for rep in reports)
+        assert not all(row["no_triple_matchings"] for row in rows)
+
     def test_certificate_rates_read_the_batch_sampler(self, monkeypatch):
         # the same rows as sample_tuple(rng.derive(t)), drawn by the batch sampler
         expected = monte_carlo("certificate_rates", 3, 6, 40, RngState(6)).to_dict()
@@ -824,26 +843,47 @@ class TestMonteCarlo:
         assert len(next(_image_batches(6, 200, 5000, RngState(0)))) == 4096
         assert len(next(_image_batches(3, 4, 0, RngState(0)))) == 27
 
-    @pytest.mark.parametrize("kind", ["expected_M", "certificate_rates"])
-    def test_one_batch_alive_at_a_time(self, monkeypatch, kind):
-        batches = randmodel._image_batches
-        alive = []
+    @pytest.mark.parametrize(
+        "kind, n, trials, per_batch, blocks",
+        [
+            pytest.param("expected_M", 6, 23, 5, 0, id="expected_M"),
+            pytest.param("certificate_rates", 6, 23, 5, 1, id="certificate_rates"),
+            pytest.param("certificate_rates", 130, 300, 128, 2, id="certificate_rates-stacked"),
+        ],
+    )
+    def test_one_batch_alive_at_a_time(self, monkeypatch, kind, n, trials, per_batch, blocks):
+        # the B sides' stacks of at most `blocks` groups are freed with their batch
+        batches, block_stack = randmodel._image_batches, permgroup._block_stack
+        alive, stacks, sizes = [], [], [0]
 
         def watched(*args):
             for imgs in batches(*args):
-                assert not any(ref() is not None for ref in alive)
+                assert not any(ref() is not None for ref in alive + stacks)
                 alive.append(weakref.ref(imgs))
                 yield imgs
                 del imgs
 
-        monkeypatch.setattr(randmodel, "_CHUNK_ENTRIES", 5 * 3 * 6)
+        def watched_stack(groups):
+            stack = block_stack(groups)
+            stacks.append(weakref.ref(stack))
+            sizes.append(len(groups))
+            return stack
+
+        monkeypatch.setattr(randmodel, "_CHUNK_ENTRIES", per_batch * 3 * n)
         monkeypatch.setattr(randmodel, "_image_batches", watched)
-        monte_carlo(kind, 3, 6, 23, RngState(1))
-        assert len(alive) == 5
+        monkeypatch.setattr(permgroup, "_block_stack", watched_stack)
+        monte_carlo(kind, 3, n, trials, RngState(1))
+        assert len(alive) == -(-trials // per_batch)
+        assert max(sizes) == blocks
 
     @pytest.mark.parametrize(
         "kind, m, n, trials",
-        [("expected_M", 3, 8, 700), ("certificate_rates", 3, 6, 30), ("overlap_rate", 3, 6, 0)],
+        [
+            ("expected_M", 3, 8, 700),
+            ("certificate_rates", 3, 6, 30),
+            ("certificate_rates", 6, 200, 30),
+            ("overlap_rate", 3, 6, 0),
+        ],
     )
     def test_documents_do_not_depend_on_the_chunking(self, monkeypatch, kind, m, n, trials):
         expected = monte_carlo(kind, m, n, trials, RngState(13)).to_dict()

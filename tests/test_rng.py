@@ -139,6 +139,49 @@ def test_only_rng_names_the_stream_internals():
     assert offenders == []
 
 
+DRAWS = {"randbelow", "randbelow_block", "randbelow_draft"}
+# (module, function) of every sampler; Jordan word letters are drawn in one
+SAMPLERS = {
+    ("perm.py", "random_fpf_images"),
+    ("permgroup.py", "_word_element"),
+    ("radu.py", "random_filler"),
+    ("randmodel.py", "sample_tuple"),
+    ("randmodel.py", "sample_tuple_images_batch"),
+}
+
+
+def _uses(names):
+    """(module, innermost function or None) of every use of one of ``names`` outside rng.py."""
+    found = set()
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            else:
+                name = None
+            if name in names:
+                found.add((path.name, function))
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if defines else function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "rng.py":
+            visit(ast.parse(path.read_text(), str(path)), path, None)
+    return found
+
+
+def test_one_jordan_word_composer():
+    # a second word loop would need draws of its own, or the default word stream
+    assert _uses(DRAWS) == SAMPLERS
+    assert _uses({"_JORDAN_SEED"}) == {
+        ("permgroup.py", None),
+        ("permgroup.py", "_alternating_by_jordan"),
+    }
+
+
 def test_derive_independent_and_pure():
     root = RngState(99)
     child_a = root.derive(0)
