@@ -99,7 +99,9 @@ def cmd_sample(cfg: RunConfig) -> int:
     if cfg.count == 1:
         _emit(formats.dumps(docs[0]), cfg.output_path)
     else:
-        lines = "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
+        lines = "".join(
+            json.dumps(d, sort_keys=True, default=formats.json_default) + "\n" for d in docs
+        )
         _emit(lines, cfg.output_path)
     return EXIT_OK
 

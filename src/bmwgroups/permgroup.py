@@ -169,8 +169,10 @@ def _orbit_labels(gens: np.ndarray) -> np.ndarray:
     d = gens.shape[1]
     inverses = np.empty_like(gens)
     np.put_along_axis(inverses, gens, np.arange(d), axis=1)
-    # an involution is its own inverse
-    moves = np.concatenate([gens, inverses[(inverses != gens).any(axis=1)]])
+    # an involution is its own inverse, so involution rows need no second copy
+    new = (inverses != gens).any(axis=1)
+    moves = np.concatenate([gens, inverses[new]]) if new.any() else gens
+    del inverses, new
     labels = np.arange(d)
     while True:
         hooked = labels.copy()

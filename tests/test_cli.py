@@ -1,9 +1,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from bmwgroups import formats, schreier
+from bmwgroups import formats, radu, schreier
 from bmwgroups.cli import main
 from bmwgroups.errors import UsageError
 from bmwgroups.perm import Permutation
@@ -60,10 +61,9 @@ class TestFormats:
 
     @staticmethod
     def _stdlib(doc):
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, default=formats.json_default) + "\n"
 
     def test_dumps_matches_the_stdlib_encoder_on_every_document_kind(self):
-        from bmwgroups import radu
         from bmwgroups.randmodel import monte_carlo
 
         tup = sample_tuple(6, 7778, RngState(9))
@@ -82,8 +82,6 @@ class TestFormats:
 
     @pytest.mark.parametrize("m,n,filler_seed", [(32, 60, None), (100, 200, 7)])
     def test_s0_document_roundtrip_at_scale(self, capsys, m, n, filler_seed):
-        from bmwgroups import radu
-
         argv = ["s0", "--m", str(m), "--n", str(n)]
         filler = None
         if filler_seed is not None:
@@ -114,6 +112,66 @@ class TestFormats:
         assert formats.dumps({}) == self._stdlib({})
         with pytest.raises(TypeError):
             formats.dumps({"a": {1: 2}})
+
+    def test_dumps_writes_arrays_as_the_stdlib_writes_their_lists(self, monkeypatch):
+        monkeypatch.setattr(formats, "_DECIMAL_LIMIT", 50)  # limit cases without a large table
+        images = sample_tuple(4, 12, RngState(3)).images
+        arrays = [
+            np.zeros((0, 4), dtype=np.int64),
+            np.zeros((3, 0), dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+            np.array([[7]]),
+            np.array([0, 3, 12, 5]),
+            images.astype(np.int32),
+            images.astype(np.uint8),
+            images % 2 == 0,
+            images - 6,  # negative entries
+            np.array([[49, 0], [1, 48]]),  # the largest value the table holds
+            np.array([[50, 1]]),  # at the limit
+            np.array([7, 10**12]),
+            np.array([[2**63]], dtype=np.uint64),
+            images.T,
+            images[:, ::2],
+            images,  # read-only
+            np.array(9),
+            np.arange(8).reshape(2, 2, 2),
+            np.array([[0.5, 2.0]]),
+        ]
+        assert not images.flags.writeable
+        for arr in arrays:
+            doc = {"a": arr, "b": [1, {"c": arr, "d": [arr, [arr, {"e": arr}]]}]}
+            assert formats.dumps(doc) == self._stdlib(doc), arr
+            assert json.loads(formats.dumps(doc))["b"][1]["c"] == arr.tolist()
+        s0 = radu.extension(16, 30)
+        doc = formats.structure_set_document(s0, families=radu.blueprint(16, 30).families())
+        assert {type(v) for v in doc["families"].values()} == {np.ndarray}
+        assert formats.dumps(doc) == self._stdlib(doc)
+
+    def test_decimal_table_is_reused_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(formats, "_decimals", np.empty(0, dtype=object))
+        monkeypatch.setattr(formats, "_DECIMAL_LIMIT", 64)
+        formats.dumps(formats.tuple_document(sample_tuple(3, 40, RngState(0))))
+        table = formats._decimals
+        assert table.tolist() == [str(v) for v in range(41)]  # up to the largest image
+        formats.dumps(formats.tuple_document(sample_tuple(2, 20, RngState(1))))
+        assert formats._decimals is table
+        doc = {
+            "images": np.array([[63, 64], [100, 5]]),
+            "at_the_limit": np.array([64, 0]),
+            "row": np.array([63, 1]),
+        }
+        assert formats.dumps(doc) == self._stdlib(doc)
+        assert formats._decimals.tolist() == [str(v) for v in range(64)]
+        formats.dumps({"images": np.array([70, 1000])})
+        assert len(formats._decimals) == 64
+
+    def test_array_documents_validate_as_lists(self):
+        doc = formats.tuple_document(sample_tuple(2, 4, RngState(0)))
+        assert isinstance(doc["involutions"], np.ndarray)
+        assert formats.validate_document(doc) == formats.SCHEMA_TUPLE
+        for bad in (doc["involutions"] - 1, doc["involutions"] / 2):
+            with pytest.raises(UsageError):
+                formats.validate_document(dict(doc, involutions=bad))
 
     def test_bad_documents_rejected(self):
         with pytest.raises(UsageError):
@@ -183,6 +241,14 @@ class TestSample:
             "a8c5d0c3554c27ade105e8cc946ef55435829093e20728fb14c3f96b49ab5e50"
         )
 
+    def test_certify_size_bytes_pinned(self, capsys):
+        # the (6, 7778) tuple document, written from the image array
+        code, out, _err = run(capsys, "sample", "--m", "6", "--n", "7778", "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "156ac14c97f060b5581900557a9a4cecc6e3fed5505ff561a35fc5d2a8df900c"
+        )
+
     def test_degree_beyond_m_to_the_fifth(self, capsys, tmp_path):
         # 7778 is the smallest even degree above 6^5
         out_file = tmp_path / "big.json"
@@ -250,7 +316,7 @@ class TestAnalyze:
         doc = formats.tuple_document(sample_tuple(2, 4, RngState(0)))
         doc["n"] = 6
         path = tmp_path / "header.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc, default=formats.json_default))
         code, out, err = run(capsys, "analyze", "--input", str(path))
         assert (code, out) == (2, "")
         assert err == (
@@ -259,6 +325,7 @@ class TestAnalyze:
 
     def test_entry_beyond_int64_exit_two(self, capsys, tmp_path):
         doc = formats.tuple_document(sample_tuple(2, 4, RngState(0)))
+        doc["involutions"] = doc["involutions"].tolist()  # the document holds a read-only array
         doc["involutions"][1][2] = 10**30
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))

@@ -15,7 +15,9 @@ from bmwgroups.permgroup import (
     DEFAULT_JORDAN_WORDS,
     PermutationGroup,
     _alternating_by_jordan,
+    _block_stack,
     _classify_groups,
+    _orbit_labels,
     contains_alternating,
     group_order,
     is_primitive,
@@ -429,6 +431,49 @@ class TestTransitivity:
             gens = [_random_perm(degree, rng) for _ in range(2)]
             got = is_two_transitive(PermutationGroup(degree, gens))
             assert got == is_two_transitive_by_closure(gens, degree)
+
+    @staticmethod
+    def _orbit_minima(rows):
+        """The least point of every point's orbit, by one graph search per orbit."""
+        gens0, labels = rows.tolist(), [None] * rows.shape[1]
+        for x, label in enumerate(labels):
+            if label is None:
+                for y in orbit_by_search(gens0, x):
+                    labels[y] = x
+        return labels
+
+    def test_orbit_labels_are_orbit_minima(self):
+        b_sides = [_b_side_group(6, 200, seed) for seed in range(4)] + [_halves_tuple_group(200, 5)]
+        rng = RngState(3)
+        d = 40
+        involutions = np.array([_random_involution(d, rng).images for _ in range(3)]) - 1
+        mixed = np.array(
+            [_random_three_cycle(d, rng).images, _random_transposition(d, rng).images]
+        ) - 1
+        cases = [
+            b_sides[0].images0,
+            _block_stack(b_sides).images0,  # involutions only, one intransitive block
+            involutions,
+            mixed,
+            np.vstack([np.arange(d), involutions[:1], np.arange(d)]),  # identity rows
+            np.vstack([involutions, mixed[:1]]),
+            np.arange(d)[None],
+            np.empty((0, d), dtype=np.int64),
+        ]
+        for rows in cases:
+            assert _orbit_labels(rows).tolist() == self._orbit_minima(rows)
+
+    def test_orbit_labels_of_involutions_hold_no_copy_of_the_rows(self):
+        b_sides = [_b_side_group(6, 200, seed) for seed in range(20)]
+        rows = _block_stack(b_sides).images0
+        tracemalloc.start()
+        try:
+            _orbit_labels(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the inverse rows and one gather; a copy of the rows for the moves made it 3.7
+        assert peak < 2.5 * rows.nbytes
 
 
 def _dihedral(n):
