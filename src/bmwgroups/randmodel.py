@@ -12,13 +12,17 @@ A tuple (:class:`InvolutionTuple`) is one read-only ``(m, n)`` array of
 the neighbours of point k are ``images[:, k - 1]``.  The graph adds only
 its black edges with their coordinates, from one stable sort of each
 column (at most two coordinates per edge span one square of the structure
-set).  The triple and overlap witnesses, the midpoint check and the
-shared-orbit statistic read the black edges; the white balls walk the
-array, and connectivity is the transitivity of the group of its rows.  A
-derived structure set's b-parts are the tuple's image array, and its
-a-parts differ from the row's own coordinate only on black edges.  Every Monte-Carlo kind reads ``(B, m, n)`` batches of one sampler,
-in memory-bounded chunks; ``certificate_rates`` classifies the B sides of
-a chunk's tuples together, sharing their Jordan words.
+set).  A derived structure set's b-parts are the tuple's image array, and
+its a-parts differ from the row's own coordinate only on black edges.
+
+Every Monte-Carlo kind reads ``(B, m, n)`` batches of one sampler, in
+memory-bounded chunks.  The certificates of a piece of a batch are read off
+its array at once (:func:`_certificates`, of which :func:`irr_certificate`
+is the one-tuple case): the flags, statistic and midpoint from the
+coordinate pairs agreeing at each point, the white balls of all its
+graphs in one walk, the A sides by the theorem on groups generated by
+transpositions, and the B sides classified together, sharing their Jordan
+words.  Connectivity is the transitivity of the group of a tuple's rows.
 
 Certificates (names used in reports):
 
@@ -46,7 +50,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,6 +108,13 @@ class InvolutionTuple:
     @classmethod
     def from_images(cls, images: Sequence[Sequence[int]]) -> "InvolutionTuple":
         return cls(images)
+
+    @classmethod
+    def _of(cls, table: np.ndarray) -> "InvolutionTuple":
+        """The tuple of an image array already checked, not checked again."""
+        t = object.__new__(cls)
+        (t.m, t.n), t.images = table.shape, table
+        return t
 
     @property
     def entries(self) -> tuple[FpfInvolution, ...]:
@@ -394,25 +405,41 @@ def structure_set_from_tuple(t: InvolutionTuple) -> StructureSet:
 def white_ball_vertex(graph: MatchGraph, radius: int) -> Optional[int]:
     """Smallest vertex whose closed ball of the given radius is all white.
 
-    An edge lies in the closed ball of b when both endpoints are within
-    ``radius`` of b, so a vertex is disqualified exactly when it is within
-    ``radius`` of both endpoints of some black edge.  The balls around all
-    endpoints grow together: bit j of ``reach[x]`` is set once x is within
-    the current distance of endpoint j, and each step ORs in the rows of x's
-    neighbours, one gather per coordinate, until no ball grows.  Edges run
-    in blocks of at most ``_CHUNK_ENTRIES`` points x endpoints.
+    The one-tuple case of :func:`_white_balls`.
+    """
+    ends = np.array(graph.black_edges(), dtype=np.int64).reshape(-1, 2) - 1
+    return _white_balls(graph.images[None], np.insert(ends, 0, 0, axis=1), radius)[0]
+
+
+def _white_balls(images: np.ndarray, edges: np.ndarray, radius: int) -> list[Optional[int]]:
+    """:func:`white_ball_vertex` of each tuple of a (B, m, n) image array.
+
+    ``edges`` holds the black edges as rows ``(b, k, l)``: tuple b and the
+    0-based endpoints, sorted by b.  An edge lies in the closed ball of a
+    vertex when both endpoints are within ``radius`` of it, so a vertex is
+    disqualified exactly when it is within ``radius`` of both endpoints of
+    some black edge.  The balls around all endpoints grow together on one
+    graph of B*n points, tuple b's offset by b*n: bit j of ``reach[x]`` is
+    set once x is within the current distance of its tuple's endpoint j,
+    and each step ORs in the rows of x's neighbours, one gather per
+    coordinate, until no ball grows.  Each tuple's edges run in blocks, at
+    most ``_CHUNK_ENTRIES`` points x endpoint bits per block.
     """
     if radius < 0:
         raise RangeError("radius must be non-negative")
-    n = graph.n
-    ends = np.array(graph.black_edges(), dtype=np.int64).reshape(-1, 2) - 1
-    neighbours = graph.images - 1
-    contaminated = np.zeros(n, dtype=bool)
-    per_block = max(1, _CHUNK_ENTRIES // (2 * n))
-    for first in range(0, len(ends), per_block):
-        points, endpoint = np.unique(ends[first:first + per_block], return_inverse=True)
-        j = np.arange(len(points))
-        reach = np.zeros((n, -(-len(points) // 8)), dtype=np.uint8)
+    size, m, n = images.shape
+    neighbours = images - 1 + np.arange(0, size * n, n)[:, None, None]
+    neighbours = neighbours.transpose(1, 0, 2).reshape(m, size * n)
+    contaminated = np.zeros((size, n), dtype=bool)
+    rank = np.arange(len(edges)) - np.searchsorted(edges[:, 0], edges[:, 0])  # within its tuple
+    per_block = max(1, _CHUNK_ENTRIES // (2 * size * n))
+    for first in range(0, int(rank.max(initial=-1)) + 1, per_block):
+        block = edges[(rank >= first) & (rank < first + per_block)]
+        points, endpoint = np.unique(block[:, :1] * n + block[:, 1:], return_inverse=True)
+        owner = points // n
+        j = np.arange(len(points)) - np.searchsorted(owner, owner)  # numbered per tuple
+        bits = int(j.max()) + 1
+        reach = np.zeros((size * n, -(-bits // 8)), dtype=np.uint8)
         reach[points, j // 8] = np.left_shift(1, j % 8)
         gathered = np.empty_like(reach)
         for _ in range(radius):
@@ -422,12 +449,15 @@ def white_ball_vertex(graph: MatchGraph, radius: int) -> Optional[int]:
             if np.array_equal(grown, reach):
                 break
             reach = grown
-        balls = np.unpackbits(reach, axis=1, count=len(points), bitorder="little").view(bool)
-        u, v = endpoint.reshape(-1, 2).T
-        contaminated |= (balls[:, u] & balls[:, v]).any(axis=1)
-        if contaminated.all():
-            return None
-    return int(np.argmin(contaminated)) + 1
+        balls = np.unpackbits(reach, axis=1, count=bits, bitorder="little").view(bool)
+        balls = balls.reshape(size, n, bits)
+        b = block[:, 0]
+        u, v = j[endpoint.reshape(-1, 2)].T
+        starts = np.flatnonzero(np.diff(b, prepend=-1))
+        hit = np.logical_or.reduceat(balls[b, :, u] & balls[b, :, v], starts, axis=0)
+        contaminated[b[starts]] |= hit
+    white = (np.argmin(contaminated, axis=1) + 1).tolist()
+    return [None if gone else w for gone, w in zip(contaminated.all(axis=1).tolist(), white)]
 
 
 # -- certificates ---------------------------------------------------------------------------
@@ -565,7 +595,7 @@ def irr_certificate(
     ``order_guard`` bounds the degree of both classifications' exact chains.
     """
     return _certificates(
-        [t],
+        t.images[None],
         radius,
         rng=rng,
         exact_max_degree=exact_max_degree,
@@ -576,7 +606,7 @@ def irr_certificate(
 
 
 def _certificates(
-    tuples: Iterable[InvolutionTuple],
+    images: np.ndarray,
     radius: int,
     *,
     rng: Optional[RngState] = None,
@@ -585,54 +615,95 @@ def _certificates(
     jordan_word_len: int = 100,
     order_guard: int = DEFAULT_ORDER_GUARD,
 ) -> list[CertificateReport]:
-    """:func:`irr_certificate` of each tuple, the B sides of all of them at once.
+    """:func:`irr_certificate` of each tuple of a checked (B, m, n) image array.
 
-    The match-graph certificates and the A side are read one tuple at a time,
-    and each tuple is dropped once read.  The B-side groups are then
-    classified together: their transitivity by one orbit labelling, and their
-    Jordan words composed once for every group with the same number of
-    distinct rows (:func:`~bmwgroups.permgroup._classify_groups`).  Their
-    generator entries are what the caller bounds.  An explicit ``rng``
+    The front is read off the whole array.  Coordinates i < j agree at point
+    k when ``images[b, i, k] == images[b, j, k]``, i.e. they share the orbit
+    of a black edge at k.  The agreeing pairs give the flags, the statistic,
+    the black edges for :func:`_white_balls` and the shared-orbit matrix S;
+    a midpoint fails at the first pair i < j with (S·S)[i, j] = 0, S having
+    an empty diagonal.  Only a tuple with an overlapping match builds its
+    :class:`MatchGraph`, for the witnesses.
+
+    A side, by theorem: with no triple matching, the generator at point k is
+    the product of the disjoint transpositions (c c') of the black edges at
+    k.  When every black edge is the only one at one of its ends, each of
+    them is a generator, so the group is generated by transpositions and is
+    the product of Sym(O) over the components O of the shared-orbit graph
+    (Dixon-Mortimer, *Permutation Groups*, 3.3); one classification serves
+    each partition of m into component sizes.  A tuple with a black edge
+    overlapped at both ends, or any tuple when m exceeds
+    ``exact_max_degree``, is classified from its a-parts instead.
+
+    The B sides are classified together: their transitivity by one orbit
+    labelling, and their Jordan words composed once for every group with the
+    same number of distinct rows (:func:`~bmwgroups.permgroup._classify_groups`).
+    Their generator entries are what the caller bounds.  An explicit ``rng``
     serves one tuple.
     """
-    fronts, b_groups = [], []
-    for t in tuples:
-        graph = match_graph(t)
-        triple = graph.triple_witness()
-        overlap = graph.overlap_witness()
-        mid = graph.midpoint() if t.m >= 3 else None
-        a_cls = None
-        if triple is None:
-            # the A-side local involutions: the structure set's a-part columns
-            a_group = PermutationGroup._from_images0(t.m, graph._a_parts().T - 1)
-            a_cls = a_group.classify(
-                "auto", order_guard=order_guard, exact_max_degree=exact_max_degree
+    size, m, n = images.shape
+    i, j = np.triu_indices(m, 1)
+    agree = np.empty((size, len(i), n), dtype=bool)
+    for p, (c, c2) in enumerate(zip(i.tolist(), j.tolist())):
+        np.equal(images[:, c], images[:, c2], out=agree[:, p])
+    pairs_at = agree.sum(axis=1)
+    hb, hk = np.nonzero(pairs_at)  # the points where some pair agrees
+    # three coordinates agreeing at a point make three agreeing pairs there
+    three = pairs_at[hb, hk] >= 3
+    column = np.sort(images[hb[three], :, hk[three]], axis=1)
+    triple = np.zeros(size, dtype=bool)
+    triple[hb[three][(column[:, 2:] == column[:, :-2]).any(axis=1)]] = True
+    # each black edge (b, k, l), 0-based and k < l, once, in order
+    at, pair = np.nonzero(agree[hb, :, hk])
+    eb, ek, el = hb[at], hk[at], images[hb[at], i[pair], hk[at]] - 1
+    code = np.sort(((eb * n + ek) * n + el)[ek < el])
+    code = code[np.diff(code, prepend=-1) != 0]
+    edges = np.stack([code // (n * n), code // n % n, code % n], axis=1)
+    shared = np.zeros((size, m, m), dtype=np.int64)
+    shared[:, i, j] = shared[:, j, i] = agree.any(axis=2)
+    mid = failing = None
+    if m >= 3:
+        fails = (shared @ shared)[:, i, j] == 0
+        mid, failing = (~fails.any(axis=1)).tolist(), fails.argmax(axis=1).tolist()
+
+    # the A sides: by theorem, or from the a-parts
+    doubly = np.zeros(size, dtype=bool)
+    doubly[edges[(pairs_at[edges[:, :1], edges[:, 1:]] >= 2).all(axis=1), 0]] = True
+    by_parts = ~triple & (doubly | (m > exact_max_degree))
+    overlap = (pairs_at >= 2).any(axis=1)
+    graph = {
+        b: MatchGraph(InvolutionTuple._of(images[b]))
+        for b in np.flatnonzero(overlap | by_parts).tolist()
+    }
+    reach = shared.astype(bool) | np.eye(m, dtype=bool)
+    for _ in range((m - 1).bit_length()):
+        reach = reach @ reach
+    partitions = map(tuple, np.sort(reach.sum(axis=2), axis=1).tolist())
+    triple, overlap, by_parts = triple.tolist(), overlap.tolist(), by_parts.tolist()
+    guards = dict(order_guard=order_guard, exact_max_degree=exact_max_degree)
+    classified: dict = {}  # by partition, or by tuple for the a-parts
+    a_local = []
+    for b, sizes in enumerate(partitions):
+        key = b if by_parts[b] else sizes
+        if not triple[b] and key not in classified:
+            a_group = (
+                PermutationGroup._from_images0(m, graph[b]._a_parts().T - 1)
+                if by_parts[b]
+                else _symmetric_product(sizes)
             )
-        fronts.append(
-            dict(
-                m=t.m,
-                n=t.n,
-                radius=radius,
-                no_triple_matchings=triple is None,
-                triple_witness=triple,
-                no_overlapping_matches=overlap is None,
-                overlap_witness=overlap,
-                midpoint=None if mid is None else mid.holds,
-                midpoint_witness=None if mid is None else mid.failing,
-                white_ball_vertex=white_ball_vertex(graph, radius),
-                has_black_edge=bool(graph.black_edges()),
-                match_statistic=graph.match_statistic(),
-                a_local=a_cls,
-            )
-        )
-        # The group of the tuple's rows is transitive exactly when the match
-        # graph is connected; without triple matchings it is the B-side local
-        # action.
-        b_groups.append(PermutationGroup._from_images0(t.n, t.images - 1))
+            classified[key] = a_group.classify("auto", **guards)
+        a_local.append(None if triple[b] else classified[key])
+    whites = _white_balls(images, edges, radius)
+    statistic, black = (pairs_at.sum(axis=1) // 2).tolist(), pairs_at.any(axis=1).tolist()
+    del agree, pairs_at, shared, reach  # before the B sides' stacks
+
+    # The group of a tuple's rows is transitive exactly when the match graph
+    # is connected; without triple matchings it is the B-side local action.
+    b_groups = [PermutationGroup._from_images0(n, table - 1) for table in images]
     _mark_transitive(b_groups)
     b_cls = iter(
         _classify_groups(
-            [g for g, front in zip(b_groups, fronts) if front["no_triple_matchings"]],
+            [g for g, t in zip(b_groups, triple) if not t],
             "auto",
             rng=rng,
             order_guard=order_guard,
@@ -641,14 +712,42 @@ def _certificates(
             max_word_len=jordan_word_len,
         )
     )
+    i, j = (i + 1).tolist(), (j + 1).tolist()
     return [
         CertificateReport(
-            **front,
+            m=m,
+            n=n,
+            radius=radius,
+            no_triple_matchings=not triple[b],
+            triple_witness=graph[b].triple_witness() if triple[b] else None,
+            no_overlapping_matches=not overlap[b],
+            overlap_witness=graph[b].overlap_witness() if overlap[b] else None,
+            midpoint=None if mid is None else mid[b],
+            midpoint_witness=None if mid is None or mid[b] else (i[failing[b]], j[failing[b]]),
+            white_ball_vertex=whites[b],
             connected=g.is_transitive(),
-            b_local=next(b_cls) if front["no_triple_matchings"] else None,
+            has_black_edge=black[b],
+            match_statistic=statistic[b],
+            a_local=a_local[b],
+            b_local=None if triple[b] else next(b_cls),
         )
-        for front, g in zip(fronts, b_groups)
+        for b, g in enumerate(b_groups)
     ]
+
+
+def _symmetric_product(sizes: Sequence[int]) -> PermutationGroup:
+    """Sym(O_1) x Sym(O_2) x ... on blocks O of consecutive points.
+
+    ``sizes`` lists each point's block size in increasing order, so each
+    block starts where the one before ends; its adjacent transpositions
+    generate its symmetric group.
+    """
+    m, rows, start = len(sizes), [], 0
+    while start < m:
+        ends = range(start, start + sizes[start] - 1)
+        rows += [[*range(q), q + 1, q, *range(q + 2, m)] for q in ends]
+        start += sizes[start]
+    return PermutationGroup._from_images0(m, np.array(rows, dtype=np.int64).reshape(-1, m))
 
 
 # -- exact probabilities ----------------------------------------------------------------------
@@ -945,11 +1044,12 @@ def monte_carlo(
         rows = []
         for imgs in batches:
             for first in range(0, len(imgs), piece):
-                reports = _certificates(
-                    map(InvolutionTuple, imgs[first:first + piece]), radius, order_guard=order_guard
-                )
+                part = imgs[first:first + piece]
+                if not _fpf_rows(part.reshape(-1, n)):
+                    raise _row_fault(part.reshape(-1, n))
+                reports = _certificates(part, radius, order_guard=order_guard)
                 rows += map(_certificate_flags, reports)
-            del imgs  # free the batch before the next one is drawn
+            del imgs, part  # free the batch before the next one is drawn
         columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
     else:
         # map drops each batch before the next one is drawn

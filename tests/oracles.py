@@ -36,14 +36,23 @@ from bmwgroups.errors import (
     TripleMatchingError,
 )
 from bmwgroups.perm import FpfInvolution, enumerate_fpf, pairing, random_fpf_images
-from bmwgroups.permgroup import DEFAULT_PRIMITIVITY_GUARD
+from bmwgroups.permgroup import (
+    DEFAULT_ORDER_GUARD,
+    DEFAULT_PRIMITIVITY_GUARD,
+    PermutationGroup,
+    _classify_groups,
+    _mark_transitive,
+)
 from bmwgroups.radu import blueprint, free_block
 from bmwgroups.randmodel import (
+    CertificateReport,
     InvolutionTuple,
     MidpointResult,
     OverlapWitness,
     TripleWitness,
+    match_graph,
     sample_tuple,
+    white_ball_vertex,
 )
 from bmwgroups.structure import (
     DEFAULT_CENSUS_GUARD,
@@ -649,3 +658,76 @@ def scalar_mc_values(kind, m, n, trials, rng):
         else:
             raise ValueError(f"kind {kind!r} has no scalar oracle")
     return values
+
+
+def certificates_by_tuple(
+    tuples,
+    radius,
+    *,
+    rng=None,
+    exact_max_degree=128,
+    jordan_words=200,
+    jordan_word_len=100,
+    order_guard=DEFAULT_ORDER_GUARD,
+):
+    """``irr_certificate`` of each tuple, its front read one tuple at a time.
+
+    Each tuple builds its match graph, reads the witnesses, the midpoint and
+    the white ball off it, and classifies its A side from the structure
+    set's a-part columns.  The B sides are classified together, as in the
+    batch front.
+    """
+    fronts, b_groups = [], []
+    for t in tuples:
+        graph = match_graph(t)
+        triple = graph.triple_witness()
+        overlap = graph.overlap_witness()
+        mid = graph.midpoint() if t.m >= 3 else None
+        a_cls = None
+        if triple is None:
+            # the A-side local involutions: the structure set's a-part columns
+            a_group = PermutationGroup._from_images0(t.m, graph._a_parts().T - 1)
+            a_cls = a_group.classify(
+                "auto", order_guard=order_guard, exact_max_degree=exact_max_degree
+            )
+        fronts.append(
+            dict(
+                m=t.m,
+                n=t.n,
+                radius=radius,
+                no_triple_matchings=triple is None,
+                triple_witness=triple,
+                no_overlapping_matches=overlap is None,
+                overlap_witness=overlap,
+                midpoint=None if mid is None else mid.holds,
+                midpoint_witness=None if mid is None else mid.failing,
+                white_ball_vertex=white_ball_vertex(graph, radius),
+                has_black_edge=bool(graph.black_edges()),
+                match_statistic=graph.match_statistic(),
+                a_local=a_cls,
+            )
+        )
+        # The group of the tuple's rows is transitive exactly when the match
+        # graph is connected; without triple matchings it is the B-side local
+        # action.
+        b_groups.append(PermutationGroup._from_images0(t.n, t.images - 1))
+    _mark_transitive(b_groups)
+    b_cls = iter(
+        _classify_groups(
+            [g for g, front in zip(b_groups, fronts) if front["no_triple_matchings"]],
+            "auto",
+            rng=rng,
+            order_guard=order_guard,
+            exact_max_degree=exact_max_degree,
+            words=jordan_words,
+            max_word_len=jordan_word_len,
+        )
+    )
+    return [
+        CertificateReport(
+            **front,
+            connected=g.is_transitive(),
+            b_local=next(b_cls) if front["no_triple_matchings"] else None,
+        )
+        for front, g in zip(fronts, b_groups)
+    ]

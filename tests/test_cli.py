@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bmwgroups
 from bmwgroups import formats, radu, schreier
 from bmwgroups.cli import main
 from bmwgroups.errors import UsageError
@@ -563,3 +567,31 @@ class TestParser:
 
     def test_unknown_flag_exit_two(self, capsys):
         assert run(capsys, "census", "--m", "2", "--n", "2", "--bogus")[0] == 2
+
+
+# The commands of the benchmark's workloads, run in a fresh interpreter.
+_BENCHMARK_COMMANDS = """
+import contextlib, io, sys
+from bmwgroups.cli import main
+from bmwgroups.randmodel import irr_certificate, sample_tuple
+from bmwgroups.rng import RngState
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert main(["mc", "--kind", "certificate_rates", "--m", "6", "--n", "200",
+                 "--trials", "100"]) == 0
+    irr_certificate(sample_tuple(6, 7778, RngState(0)))
+    assert main(["s0", "--m", "32", "--n", "60", "--verify"]) == 0
+    assert main(["census", "--m", "3", "--n", "4", "--up-to-relabeling"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_benchmark_commands_do_not_import_numpy_ma():
+    # a plain np.unique imports numpy.ma, which costs megabytes of peak memory
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bmwgroups.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _BENCHMARK_COMMANDS], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import math
 import weakref
@@ -43,6 +45,7 @@ from bmwgroups.rng import RngState
 from bmwgroups.structure import StructureSet
 
 from .oracles import (
+    certificates_by_tuple,
     edge_colours_by_pairings,
     enumerate_tuples,
     involution_rows_fault,
@@ -673,6 +676,167 @@ class TestIrrCertificate:
             assert not weaker.hji_certified
 
 
+# Every tuple of the small (F_n)^m, then seeded samples as (m, n, trials).
+FRONT_SETS = [
+    (1, 2, 0),
+    (2, 4, 0),
+    (3, 4, 0),
+    (4, 4, 0),
+    (3, 6, 0),
+    (6, 8, 327),
+    (8, 12, 218),
+    (6, 200, 218),
+    (6, 7778, 2),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def front_tuples(m, n, trials):
+    if not trials:
+        return tuple(enumerate_tuples(m, n))
+    root = RngState(21)
+    return tuple(sample_tuple(m, n, root.derive(t)) for t in range(trials))
+
+
+@functools.lru_cache(maxsize=None)
+def per_tuple_reports(m, n, trials):
+    return tuple(certificates_by_tuple(front_tuples(m, n, trials), randmodel.DEFAULT_BALL_RADIUS))
+
+
+def batch_front(tuples, piece=109, **kwargs):
+    images = np.stack([t.images for t in tuples])
+    return [
+        rep
+        for first in range(0, len(images), piece)
+        for rep in randmodel._certificates(
+            images[first:first + piece], randmodel.DEFAULT_BALL_RADIUS, **kwargs
+        )
+    ]
+
+
+def overlapped_at_both_ends(t):
+    """Whether, with no triple matching, some black edge has another black edge at each end."""
+    graph = match_graph(t)
+    at = collections.Counter(p for edge in graph.black_coords for p in edge)
+    return graph.triple_witness() is None and any(
+        at[k] >= 2 and at[l] >= 2 for k, l in graph.black_coords
+    )
+
+
+def component_sizes(t):
+    """Each coordinate's component size in the shared-orbit graph, sorted, by union-find."""
+    parent = list(range(t.m))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    rows = t.images.tolist()
+    for i, j in itertools.combinations(range(t.m), 2):
+        if any(u == v for u, v in zip(rows[i], rows[j])):
+            parent[find(i)] = find(j)
+    roots = [find(c) for c in range(t.m)]
+    return tuple(sorted(roots.count(r) for r in roots))
+
+
+class TestBatchFront:
+    """The certificate front over a (B, m, n) array against the per-tuple front."""
+
+    def test_reports_equal_the_per_tuple_front(self, monkeypatch):
+        a_parts, calls = randmodel.MatchGraph._a_parts, []
+
+        def counted(graph):
+            calls.append(graph)
+            return a_parts(graph)
+
+        seen = collections.Counter()
+        for m, n, trials in FRONT_SETS:
+            tuples = front_tuples(m, n, trials)
+            calls.clear()
+            monkeypatch.setattr(randmodel.MatchGraph, "_a_parts", counted)
+            reports = batch_front(tuples)
+            monkeypatch.undo()
+            assert reports == list(per_tuple_reports(m, n, trials)), (m, n)
+            # the a-parts are read exactly for the tuples the theorem does not cover
+            assert len(calls) == sum(map(overlapped_at_both_ends, tuples)), (m, n)
+            seen["edge overlapped at both ends"] += len(calls)
+            for rep in reports:
+                seen["triple"] += not rep.no_triple_matchings
+                seen["overlap"] += rep.no_triple_matchings and not rep.no_overlapping_matches
+                seen["no black edge"] += not rep.has_black_edge
+                seen["midpoint fails"] += rep.midpoint is False
+                seen["no white ball"] += rep.white_ball_vertex is None
+                seen["white ball at 1"] += rep.white_ball_vertex == 1
+        assert len(seen) == 7 and all(seen.values()), seen
+
+    def test_pieces_of_any_size_give_equal_reports(self, monkeypatch):
+        for m, n, trials in ((6, 8, 327), (6, 200, 218)):
+            tuples = front_tuples(m, n, trials)[:150]
+            expected = batch_front(tuples, 109)
+            assert batch_front(tuples, 1) == expected
+            assert batch_front(tuples, 7) == expected
+            # a budget of 1 walks each tuple's black edges one per block
+            monkeypatch.setattr(randmodel, "_CHUNK_ENTRIES", 1)
+            assert batch_front(tuples, 109) == expected
+            monkeypatch.undo()
+
+    def test_a_side_is_the_product_of_symmetric_groups_on_components(self):
+        # per_tuple_reports classify each tuple's own a-part group
+        by_theorem = functools.lru_cache(maxsize=None)(
+            lambda sizes: randmodel._symmetric_product(sizes).classify("auto")
+        )
+        checked = differs = 0
+        for m, n, trials in FRONT_SETS:
+            for t, rep in zip(front_tuples(m, n, trials), per_tuple_reports(m, n, trials)):
+                if not rep.no_triple_matchings:
+                    continue
+                if overlapped_at_both_ends(t):
+                    differs += by_theorem(component_sizes(t)) != rep.a_local
+                else:
+                    assert by_theorem(component_sizes(t)) == rep.a_local, t.images.tolist()
+                    checked += 1
+        assert checked > 3000
+        # (1 2)(3 4) at every point generates a group of order 2, not Sym(2) x Sym(2)
+        assert differs
+
+    def test_order_guard_raises_as_the_per_tuple_front(self):
+        for m, n, trials in ((4, 4, 0), (6, 200, 218)):
+            tuples = front_tuples(m, n, trials)[:109]
+            with pytest.raises(ResourceError) as batch:
+                batch_front(tuples, order_guard=3)
+            with pytest.raises(ResourceError) as per_tuple:
+                certificates_by_tuple(tuples, randmodel.DEFAULT_BALL_RADIUS, order_guard=3)
+            assert str(batch.value) == str(per_tuple.value)
+        t = front_tuples(6, 200, 218)[0]
+        assert match_graph(t).triple_witness() is None
+        a_group = PermutationGroup._from_images0(6, match_graph(t)._a_parts().T - 1)
+        with pytest.raises(ResourceError) as by_parts:
+            a_group.classify("auto", order_guard=3)
+        with pytest.raises(ResourceError) as by_theorem:
+            randmodel._symmetric_product(component_sizes(t)).classify("auto", order_guard=3)
+        assert str(by_parts.value) == str(by_theorem.value)
+
+    def test_monte_carlo_checks_each_piece_once(self, monkeypatch):
+        expected = monte_carlo("certificate_rates", 6, 200, 30, RngState(4)).to_dict()
+
+        def refuse(self, images):
+            raise AssertionError("a tuple was built and checked")
+
+        monkeypatch.setattr(InvolutionTuple, "__init__", refuse)
+        assert monte_carlo("certificate_rates", 6, 200, 30, RngState(4)).to_dict() == expected
+
+    def test_monte_carlo_refuses_a_faulty_batch(self, monkeypatch):
+        bad = sample_tuple_images_batch(3, 6, RngState(0), 0, 5)
+        bad[3, 1] = np.arange(1, 7)  # the identity: every point fixed
+        monkeypatch.setattr(randmodel, "_image_batches", lambda *args: iter([bad]))
+        with pytest.raises(DegreeError) as batch:
+            monte_carlo("certificate_rates", 3, 6, 5, RngState(0))
+        with pytest.raises(DegreeError) as row:
+            InvolutionTuple(bad[3])
+        assert str(batch.value) == str(row.value)
+
+
 class TestExactProbabilities:
     def test_orbit_share_degree_two(self):
         assert exact_orbit_share_prob(2).exact == 1
@@ -821,7 +985,8 @@ class TestMonteCarlo:
         tuples = [sample_tuple(m, n, rng.derive(t)) for t in range(trials)]
         reports = [irr_certificate(t) for t in tuples]
         assert rows == list(map(flags, reports))
-        assert randmodel._certificates(tuples, randmodel.DEFAULT_BALL_RADIUS) == reports
+        images = np.stack([t.images for t in tuples])
+        assert randmodel._certificates(images, randmodel.DEFAULT_BALL_RADIUS) == reports
         assert any(rep.b_local and rep.b_local.method == "jordan" for rep in reports)
         assert not all(row["no_triple_matchings"] for row in rows)
 
