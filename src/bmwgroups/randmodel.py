@@ -313,36 +313,6 @@ class MatchGraph:
         first, second = sorted(pairs_at[point])[:2]
         return OverlapWitness(point, first, second)
 
-    def midpoint(self) -> MidpointResult:
-        """For every i != i', some third coordinate shares an orbit with both.
-
-        The middle coordinate j is required to differ from i and i'; this is
-        the reading under which the property, together with no triple
-        matchings and no overlapping matches, forces the A-side local action
-        to be the full symmetric group.  Two coordinates share an orbit
-        exactly when they lie on a common black edge.
-        """
-        m = self.m
-        if m < 3:
-            raise ArityError("midpoint property needs at least 3 coordinates")
-        shared = [[i == j for j in range(m)] for i in range(m)]
-        for cs in self.black_coords.values():
-            for i, j in itertools.combinations(cs, 2):
-                shared[i - 1][j - 1] = shared[j - 1][i - 1] = True
-        for i, i2 in itertools.combinations(range(m), 2):
-            if not any(shared[i][j] and shared[j][i2] for j in range(m) if j not in (i, i2)):
-                return MidpointResult(False, (i + 1, i2 + 1))
-        return MidpointResult(True, None)
-
-    def match_statistic(self) -> int:
-        """Total number of shared orbits over all coordinate pairs.
-
-        A black edge with coordinates ``cs`` is shared by C(|cs|, 2) pairs,
-        so the total equals the black-edge count exactly without triple
-        matchings.
-        """
-        return sum(math.comb(len(cs), 2) for cs in self.black_coords.values())
-
     def structure_set(self) -> StructureSet:
         """The structure set with B-side local involutions the tuple's entries.
 
@@ -388,18 +358,83 @@ def overlapping_matches(t: InvolutionTuple) -> Optional[OverlapWitness]:
 
 
 def midpoint_property(t: InvolutionTuple) -> MidpointResult:
-    """The midpoint property of ``t``; see :meth:`MatchGraph.midpoint`."""
-    return match_graph(t).midpoint()
+    """The midpoint property of ``t``; the one-tuple case of :func:`_midpoints`."""
+    return _midpoints(_agreeing_pairs(t.images[None], shared=True)[1])[0]
 
 
 def match_statistic(t: InvolutionTuple) -> int:
-    """Shared orbits of ``t``; see :meth:`MatchGraph.match_statistic`."""
-    return match_graph(t).match_statistic()
+    """Total number of shared orbits over all coordinate pairs of ``t``.
+
+    A black edge with coordinates ``cs`` is shared by C(|cs|, 2) pairs, so
+    the total equals the black-edge count exactly without triple matchings.
+    The one-tuple case of ``_shared_orbit_count``.
+    """
+    return int(_shared_orbit_count(t.images[None])[0])
 
 
 def structure_set_from_tuple(t: InvolutionTuple) -> StructureSet:
     """The structure set with B-side local involutions exactly ``t.entries``."""
     return match_graph(t).structure_set()
+
+
+def _agreeing_pairs(
+    imgs: np.ndarray, shared: bool = False
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The coordinate pairs agreeing at the points of a (B, m, n) image array.
+
+    Coordinates i != j agree at point k when they send k to the same point,
+    i.e. they share the orbit of a black edge at k.  Returns the (B, n)
+    number of agreeing pairs i < j at each point and, if ``shared``, the
+    (B, m, m) shared-orbit matrix S: S[b, i, j] = 1 when i != j agree at
+    some point.
+    """
+    size, m, n = imgs.shape
+    counts = np.zeros((size, n), dtype=np.int32)
+    matrix = np.zeros((size, m, m), dtype=np.int64) if shared else None
+    agree = np.empty((size, n), dtype=bool)
+    for i, j in itertools.combinations(range(m), 2):
+        np.equal(imgs[:, i], imgs[:, j], out=agree)
+        counts += agree
+        if shared:
+            matrix[:, i, j] = matrix[:, j, i] = agree.any(axis=1)
+    return counts, matrix
+
+
+def _triples(imgs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Whether three coordinates agree at some point, for each tuple.
+
+    Three coordinates agreeing at a point make three agreeing pairs there
+    (``counts`` of :func:`_agreeing_pairs`); only those points' columns are
+    sorted, equal neighbours side by side.
+    """
+    hb, hk = np.nonzero(counts >= 3)
+    column = np.sort(imgs[hb, :, hk], axis=1)
+    flag = np.zeros(len(imgs), dtype=bool)
+    flag[hb[(column[:, 2:] == column[:, :-2]).any(axis=1)]] = True
+    return flag
+
+
+def _midpoints(shared: np.ndarray) -> list[MidpointResult]:
+    """The midpoint property of each tuple, from its (B, m, m) shared-orbit matrix.
+
+    For every i != i', some third coordinate shares an orbit with both.  The
+    middle coordinate j is required to differ from i and i'; this is the
+    reading under which the property, together with no triple matchings and
+    no overlapping matches, forces the A-side local action to be the full
+    symmetric group.  S having an empty diagonal, the pair i < i' fails when
+    (S·S)[i, i'] = 0; the witness is the first failing pair in
+    ``triu_indices`` order.
+    """
+    m = shared.shape[1]
+    if m < 3:
+        raise ArityError("midpoint property needs at least 3 coordinates")
+    i, j = np.triu_indices(m, 1)
+    fails = (shared @ shared)[:, i, j] == 0
+    i, j = (i + 1).tolist(), (j + 1).tolist()
+    return [
+        MidpointResult(False, (i[p], j[p])) if failed else MidpointResult(True)
+        for failed, p in zip(fails.any(axis=1).tolist(), fails.argmax(axis=1).tolist())
+    ]
 
 
 def white_ball_vertex(graph: MatchGraph, radius: int) -> Optional[int]:
@@ -617,13 +652,13 @@ def _certificates(
 ) -> list[CertificateReport]:
     """:func:`irr_certificate` of each tuple of a checked (B, m, n) image array.
 
-    The front is read off the whole array.  Coordinates i < j agree at point
-    k when ``images[b, i, k] == images[b, j, k]``, i.e. they share the orbit
-    of a black edge at k.  The agreeing pairs give the flags, the statistic,
-    the black edges for :func:`_white_balls` and the shared-orbit matrix S;
-    a midpoint fails at the first pair i < j with (S·S)[i, j] = 0, S having
-    an empty diagonal.  Only a tuple with an overlapping match builds its
-    :class:`MatchGraph`, for the witnesses.
+    The front is read off the whole array.  The coordinate pairs agreeing
+    at each point (:func:`_agreeing_pairs`) give the flags, the statistic
+    and the shared-orbit matrix that decides the midpoints
+    (:func:`_midpoints`); the sorted columns of the points where pairs agree
+    give the black edges for :func:`_white_balls`.  Only a tuple with an
+    overlapping match, or an A side classified from its a-parts, builds its
+    :class:`MatchGraph`, for the witnesses and the a-parts.
 
     A side, by theorem: with no triple matching, the generator at point k is
     the product of the disjoint transpositions (c c') of the black edges at
@@ -642,29 +677,18 @@ def _certificates(
     serves one tuple.
     """
     size, m, n = images.shape
-    i, j = np.triu_indices(m, 1)
-    agree = np.empty((size, len(i), n), dtype=bool)
-    for p, (c, c2) in enumerate(zip(i.tolist(), j.tolist())):
-        np.equal(images[:, c], images[:, c2], out=agree[:, p])
-    pairs_at = agree.sum(axis=1)
-    hb, hk = np.nonzero(pairs_at)  # the points where some pair agrees
-    # three coordinates agreeing at a point make three agreeing pairs there
-    three = pairs_at[hb, hk] >= 3
-    column = np.sort(images[hb[three], :, hk[three]], axis=1)
-    triple = np.zeros(size, dtype=bool)
-    triple[hb[three][(column[:, 2:] == column[:, :-2]).any(axis=1)]] = True
-    # each black edge (b, k, l), 0-based and k < l, once, in order
-    at, pair = np.nonzero(agree[hb, :, hk])
-    eb, ek, el = hb[at], hk[at], images[hb[at], i[pair], hk[at]] - 1
+    pairs_at, shared = _agreeing_pairs(images, shared=True)
+    triple = _triples(images, pairs_at)
+    # each black edge (b, k, l), 0-based and k < l, once, in order: the
+    # equal neighbours in the sorted columns of the points where pairs agree
+    hb, hk = np.nonzero(pairs_at)
+    column = np.sort(images[hb, :, hk], axis=1)
+    at, r = np.nonzero(column[:, 1:] == column[:, :-1])
+    eb, ek, el = hb[at], hk[at], column[at, r] - 1
     code = np.sort(((eb * n + ek) * n + el)[ek < el])
     code = code[np.diff(code, prepend=-1) != 0]
     edges = np.stack([code // (n * n), code // n % n, code % n], axis=1)
-    shared = np.zeros((size, m, m), dtype=np.int64)
-    shared[:, i, j] = shared[:, j, i] = agree.any(axis=2)
-    mid = failing = None
-    if m >= 3:
-        fails = (shared @ shared)[:, i, j] == 0
-        mid, failing = (~fails.any(axis=1)).tolist(), fails.argmax(axis=1).tolist()
+    mid = _midpoints(shared) if m >= 3 else None
 
     # the A sides: by theorem, or from the a-parts
     doubly = np.zeros(size, dtype=bool)
@@ -695,7 +719,7 @@ def _certificates(
         a_local.append(None if triple[b] else classified[key])
     whites = _white_balls(images, edges, radius)
     statistic, black = (pairs_at.sum(axis=1) // 2).tolist(), pairs_at.any(axis=1).tolist()
-    del agree, pairs_at, shared, reach  # before the B sides' stacks
+    del pairs_at, shared, reach  # before the B sides' stacks
 
     # The group of a tuple's rows is transitive exactly when the match graph
     # is connected; without triple matchings it is the B-side local action.
@@ -712,7 +736,6 @@ def _certificates(
             max_word_len=jordan_word_len,
         )
     )
-    i, j = (i + 1).tolist(), (j + 1).tolist()
     return [
         CertificateReport(
             m=m,
@@ -722,8 +745,8 @@ def _certificates(
             triple_witness=graph[b].triple_witness() if triple[b] else None,
             no_overlapping_matches=not overlap[b],
             overlap_witness=graph[b].overlap_witness() if overlap[b] else None,
-            midpoint=None if mid is None else mid[b],
-            midpoint_witness=None if mid is None or mid[b] else (i[failing[b]], j[failing[b]]),
+            midpoint=None if mid is None else mid[b].holds,
+            midpoint_witness=None if mid is None else mid[b].failing,
             white_ball_vertex=whites[b],
             connected=g.is_transitive(),
             has_black_edge=black[b],
@@ -881,32 +904,15 @@ def _shares_orbit(imgs: np.ndarray) -> np.ndarray:
 
 
 def _shared_orbit_count(imgs: np.ndarray) -> np.ndarray:
-    m = imgs.shape[1]
-    acc = np.zeros(len(imgs), dtype=np.int64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            acc += (imgs[:, i, :] == imgs[:, j, :]).sum(axis=1)
-    return acc // 2
+    return _agreeing_pairs(imgs)[0].sum(axis=1) // 2
 
 
 def _has_triple_matching(imgs: np.ndarray) -> np.ndarray:
-    size, m, n = imgs.shape
-    flag = np.zeros((size, n), dtype=bool)
-    for i in range(m):
-        for j in range(i + 1, m):
-            eq_ij = imgs[:, i, :] == imgs[:, j, :]
-            for p in range(j + 1, m):
-                flag |= eq_ij & (imgs[:, j, :] == imgs[:, p, :])
-    return flag.any(axis=1)
+    return _triples(imgs, _agreeing_pairs(imgs)[0])
 
 
 def _has_overlap(imgs: np.ndarray) -> np.ndarray:
-    size, m, n = imgs.shape
-    counts = np.zeros((size, n), dtype=np.int32)
-    for i in range(m):
-        for j in range(i + 1, m):
-            counts += imgs[:, i, :] == imgs[:, j, :]
-    return (counts >= 2).any(axis=1)
+    return (_agreeing_pairs(imgs)[0] >= 2).any(axis=1)
 
 
 _STATISTICS = {

@@ -672,8 +672,9 @@ def certificates_by_tuple(
 ):
     """``irr_certificate`` of each tuple, its front read one tuple at a time.
 
-    Each tuple builds its match graph, reads the witnesses, the midpoint and
-    the white ball off it, and classifies its A side from the structure
+    Each tuple builds its match graph and reads the witnesses and the white
+    ball off it, takes the midpoint and the statistic from its orbit
+    pairings, and classifies its A side from the structure
     set's a-part columns.  The B sides are classified together, as in the
     batch front.
     """
@@ -682,7 +683,7 @@ def certificates_by_tuple(
         graph = match_graph(t)
         triple = graph.triple_witness()
         overlap = graph.overlap_witness()
-        mid = graph.midpoint() if t.m >= 3 else None
+        mid = midpoint_by_pairings(t) if t.m >= 3 else None
         a_cls = None
         if triple is None:
             # the A-side local involutions: the structure set's a-part columns
@@ -703,7 +704,7 @@ def certificates_by_tuple(
                 midpoint_witness=None if mid is None else mid.failing,
                 white_ball_vertex=white_ball_vertex(graph, radius),
                 has_black_edge=bool(graph.black_edges()),
-                match_statistic=graph.match_statistic(),
+                match_statistic=match_statistic_by_pairings(t),
                 a_local=a_cls,
             )
         )
