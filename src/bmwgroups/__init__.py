@@ -30,20 +30,11 @@ from .perm import (
     count_involutions,
     double_factorial,
     enumerate_fpf,
-    pairing,
-    random_fpf,
-    shares_common_orbit,
 )
 from .permgroup import (
     GroupClassification,
     PermutationGroup,
     SchreierAnalysis,
-    classify,
-    contains_alternating,
-    group_order,
-    is_primitive,
-    is_transitive,
-    is_two_transitive,
     schreier_analysis,
 )
 from .randmodel import (
@@ -72,13 +63,9 @@ from .structure import (
     all_diagonal,
     canonical_form,
     census_counts,
-    complete_with_diagonal,
     complex_summary,
     count_up_to_relabeling,
     enumerate_structure_sets,
-    iter_structure_sets,
-    local_involutions,
-    merge,
     presentation_text,
     relabel,
     validate,

@@ -203,7 +203,7 @@ def tuple_from_document(doc: dict) -> InvolutionTuple:
     validate_document(doc)
     if doc["schema"] != SCHEMA_TUPLE:
         raise UsageError(f"expected a {SCHEMA_TUPLE} document")
-    t = InvolutionTuple.from_images(_plain(doc["involutions"]))
+    t = InvolutionTuple(_plain(doc["involutions"]))
     if (t.m, t.n) != (doc["m"], doc["n"]):
         raise UsageError("tuple document header disagrees with its involutions")
     return t

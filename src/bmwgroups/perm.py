@@ -9,14 +9,8 @@ Conventions used throughout the package:
 * All objects are immutable once constructed and safe to share across
   threads.
 
-The uniform sampler for fixed-point-free involutions pairs, at each step, the
-current anchor slot with a uniformly random remaining slot.  Each step has
-``n - 1, n - 3, ...`` equally likely outcomes, so the choice count telescopes
-to ``(n-1)!!`` and every pairing is produced by exactly one choice sequence:
-the distribution is uniform.  One trial of degree ``n`` consumes exactly
-``n/2`` ``randbelow`` calls, which makes the draw layout batchable (see
-:func:`bmwgroups.randmodel.sample_tuple_images_batch`).  The scalar
-:func:`random_fpf_images` is the reference semantics of every sampler.
+Fixed-point-free involutions are counted and listed here; they are sampled,
+as whole tuples, in :mod:`bmwgroups.randmodel`.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeError
-from .rng import RngState
 
 
 class Permutation:
@@ -167,22 +160,6 @@ class Permutation:
             e >>= 1
         return result
 
-    def restricted(self, domain: Sequence[int]) -> "Permutation":
-        """Re-index the action on an invariant ``domain`` to ``1..len(domain)``.
-
-        ``domain`` must be sorted, and the permutation may not move points
-        across its boundary.
-        """
-        pts = list(domain)
-        pos = {p: i + 1 for i, p in enumerate(pts)}
-        images = []
-        for p in pts:
-            q = self._images[p - 1]
-            if q not in pos:
-                raise DegreeError(f"domain is not invariant: {p} -> {q}")
-            images.append(pos[q])
-        return Permutation(images)
-
 
 class FpfInvolution(Permutation):
     """A fixed-point-free involution: even degree, self-inverse, no fixed point."""
@@ -200,30 +177,6 @@ class FpfInvolution(Permutation):
                 raise DegreeError("not an involution")
 
 
-def pairing(alpha: Permutation) -> frozenset[tuple[int, int]]:
-    """The 2-point orbits of an involution as sorted pairs.
-
-    For a fixed-point-free involution of degree ``n`` this is a perfect
-    matching with exactly ``n/2`` pairs.
-    """
-    if not alpha.is_involution():
-        raise DegreeError("pairing is defined for involutions")
-    return frozenset(
-        (i + 1, v) for i, v in enumerate(alpha.images) if i + 1 < v
-    )
-
-
-def shares_common_orbit(alpha: Permutation, beta: Permutation) -> bool:
-    """Whether two involutions of equal degree have a common 2-point orbit.
-
-    Symmetric and reflexive (for fixed-point-free arguments).
-    """
-    if alpha.degree != beta.degree:
-        raise DegreeError("degree mismatch")
-    a, b = alpha.images, beta.images
-    return any(v == b[i] and v != i + 1 for i, v in enumerate(a))
-
-
 # -- exact counting ------------------------------------------------------------
 
 
@@ -238,10 +191,15 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def count_fpf(n: int) -> int:
-    """``|F_n| = (n-1)!!``, the number of fixed-point-free involutions."""
+def _check_even(n: int) -> None:
+    """Refuse a degree ``n`` that no fixed-point-free involution has."""
     if n < 2 or n % 2:
         raise DegreeError("n must be even and at least 2")
+
+
+def count_fpf(n: int) -> int:
+    """``|F_n| = (n-1)!!``, the number of fixed-point-free involutions."""
+    _check_even(n)
     return double_factorial(n - 1)
 
 
@@ -263,8 +221,7 @@ def enumerate_fpf(n: int) -> Iterator[FpfInvolution]:
 
     Exhaustive; meant for desk-scale oracles (``(n-1)!!`` elements).
     """
-    if n < 2 or n % 2:
-        raise DegreeError("n must be even and at least 2")
+    _check_even(n)
     images = [0] * n
 
     def fill(todo: list[int]):
@@ -280,26 +237,3 @@ def enumerate_fpf(n: int) -> Iterator[FpfInvolution]:
         images[first - 1] = 0
 
     yield from fill(list(range(1, n + 1)))
-
-
-# -- uniform sampling ----------------------------------------------------------
-
-
-def random_fpf(n: int, rng: RngState) -> FpfInvolution:
-    """A uniformly random fixed-point-free involution of even degree ``n``."""
-    return FpfInvolution(random_fpf_images(n, rng))
-
-
-def random_fpf_images(n: int, rng: RngState) -> list[int]:
-    """The 1-based image list of :func:`random_fpf`, same draws, unchecked."""
-    if n < 2 or n % 2:
-        raise DegreeError("n must be even and at least 2")
-    slots = list(range(1, n + 1))
-    images = [0] * n
-    for step in range(n // 2):
-        anchor_pos = 2 * step
-        j = anchor_pos + 1 + rng.randbelow(n - anchor_pos - 1)
-        slots[anchor_pos + 1], slots[j] = slots[j], slots[anchor_pos + 1]
-        a, b = slots[anchor_pos], slots[anchor_pos + 1]
-        images[a - 1], images[b - 1] = b, a
-    return images

@@ -772,35 +772,6 @@ def _classify_groups(
     ]
 
 
-# -- module-level operation wrappers -------------------------------------------------
-
-
-def group_order(group: PermutationGroup, guard: int = DEFAULT_ORDER_GUARD) -> int:
-    return group.order(guard=guard)
-
-
-def is_transitive(group: PermutationGroup) -> bool:
-    return group.is_transitive()
-
-
-def is_two_transitive(group: PermutationGroup) -> bool:
-    return group.is_two_transitive()
-
-
-def is_primitive(group: PermutationGroup, guard: int = DEFAULT_PRIMITIVITY_GUARD) -> bool:
-    return group.is_primitive(guard=guard)
-
-
-def contains_alternating(
-    group: PermutationGroup, strategy: str = "exact", **kwargs
-) -> Optional[bool]:
-    return group.contains_alternating(strategy, **kwargs)
-
-
-def classify(group: PermutationGroup, strategy: str = "auto", **kwargs) -> GroupClassification:
-    return group.classify(strategy, **kwargs)
-
-
 # -- Schreier graphs -------------------------------------------------------------------
 
 

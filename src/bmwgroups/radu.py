@@ -5,9 +5,10 @@ of trees and their projections", 2020) is an involutive group of degree
 (4, 5) whose finite residual is exactly the index-4 type-preserving
 subgroup.  :func:`delta` returns its structure set.
 
-Around that seed, :func:`base_partial_set` builds a partial (m, n)-structure
-set for m >= 13, n >= 14 out of eleven index-range families pinned to the
-boundary rows and columns.  Every completion of the partial set has full
+Around that seed, :func:`blueprint` lays out eleven index-range families
+of squares pinned to the boundary rows and columns, and its
+:meth:`~S0Blueprint.partial_set` is a partial (m, n)-structure set for
+m >= 13, n >= 14.  Every completion of the partial set has full
 symmetric local actions on both sides and simple type-preserving subgroup
 (by Radu's theorem plus the Burger-Mozes machinery); the rows 11..m-3 and
 columns 12..n-3 are left untouched, so completions can differ arbitrarily on
@@ -226,15 +227,6 @@ def blueprint(m: int, n: int) -> S0Blueprint:
         add("late_row_diagonal", m - 1, k, m - 1, k)
         add("late_row_diagonal", m - 2, k, m - 2, k)
     return S0Blueprint(m, n, tuple(tagged))
-
-
-def base_partial_set(m: int, n: int) -> PartialStructureSet:
-    """The partial structure set combining all eleven families at (m, n).
-
-    Conflict-free by construction (verified, not assumed); leaves the block
-    rows 11..m-3 x columns 12..n-3 uncovered for free extensions.
-    """
-    return blueprint(m, n).partial_set()
 
 
 def free_block(m: int, n: int) -> tuple[range, range]:

@@ -10,17 +10,19 @@ against closed-form values.
 A tuple (:class:`InvolutionTuple`) is one read-only ``(m, n)`` array of
 1-based images, and that array is the match graph (:class:`MatchGraph`):
 the neighbours of point k are ``images[:, k - 1]``.  The graph adds only
-its black edges with their coordinates, from one stable sort of each
-column (at most two coordinates per edge span one square of the structure
-set).  A derived structure set's b-parts are the tuple's image array, and
-its a-parts differ from the row's own coordinate only on black edges.
+the number of coordinate pairs agreeing at each point, and reads its black
+edges, witnesses and derived structure set with the helpers of the batch
+front below, on a batch of one.  A derived structure set's b-parts are the
+tuple's image array, and its a-parts differ from the row's own coordinate
+only on black edges (at most two coordinates per edge span one square).
 
 Every Monte-Carlo kind reads ``(B, m, n)`` batches of one sampler, in
 memory-bounded chunks.  The certificates of a piece of a batch are read off
 its array at once (:func:`_certificates`, of which :func:`irr_certificate`
 is the one-tuple case): the flags, statistic and midpoint from the
-coordinate pairs agreeing at each point, the white balls of all its
-graphs in one walk, the A sides by the theorem on groups generated by
+coordinate pairs agreeing at each point, the black edges and a-parts from
+the sorted columns of the points where pairs agree, the white balls of all
+its graphs in one walk, the A sides by the theorem on groups generated by
 transpositions, and the B sides classified together, sharing their Jordan
 words.  Connectivity is the transitivity of the group of a tuple's rows.
 
@@ -62,7 +64,7 @@ from .errors import (
     TripleMatchingError,
     UsageError,
 )
-from .perm import FpfInvolution, count_fpf, enumerate_fpf
+from .perm import FpfInvolution, _check_even, count_fpf, enumerate_fpf
 from .permgroup import (
     DEFAULT_ORDER_GUARD,
     GroupClassification,
@@ -105,17 +107,6 @@ class InvolutionTuple:
         self.m, self.n = table.shape
         self.images = table
 
-    @classmethod
-    def from_images(cls, images: Sequence[Sequence[int]]) -> "InvolutionTuple":
-        return cls(images)
-
-    @classmethod
-    def _of(cls, table: np.ndarray) -> "InvolutionTuple":
-        """The tuple of an image array already checked, not checked again."""
-        t = object.__new__(cls)
-        (t.m, t.n), t.images = table.shape, table
-        return t
-
     @property
     def entries(self) -> tuple[FpfInvolution, ...]:
         """The coordinates as :class:`FpfInvolution` objects, built on each call."""
@@ -150,17 +141,20 @@ def _row_fault(images) -> Exception:
 def _check_shape(m: int, n: int) -> None:
     if m < 1:
         raise ArityError("m must be positive")
-    if n < 2 or n % 2:
-        raise DegreeError("n must be even and at least 2")
+    _check_even(n)
 
 
 def sample_tuple(m: int, n: int, rng: RngState) -> InvolutionTuple:
     """m independent uniform fixed-point-free involutions, one rng stream.
 
-    Coordinate ``c`` makes the ``n/2`` ``randbelow`` calls of
-    :func:`~bmwgroups.perm.random_fpf_images` after those of the coordinates
-    before it; step ``s`` has bound ``n - 1 - 2s``.  The whole tuple is a
-    pure function of the rng seed.  All ``m * n/2`` calls are made by one
+    Each coordinate lists the points ``1..n`` in slots ``0..n-1``; step
+    ``s`` swaps slot ``2s + 1`` with slot ``2s + 1 + randbelow(n - 1 - 2s)``
+    and pairs the points in slots ``2s`` and ``2s + 1``.  The
+    ``n - 1, n - 3, ..`` equally likely outcomes telescope to ``(n-1)!!``
+    and every pairing comes from exactly one choice sequence, so each
+    coordinate is uniform.  Coordinate ``c`` makes its ``n/2`` calls after
+    those of the coordinates before it, and the whole tuple is a pure
+    function of the rng seed.  All ``m * n/2`` calls are made by one
     :meth:`~bmwgroups.rng.RngState.randbelow_block`, so only the slot swaps
     run in Python.
     """
@@ -250,68 +244,29 @@ class MatchGraph:
     An edge {k, l} exists when some coordinate maps k to l; it is black when
     at least two distinct coordinates do, white otherwise.  The tuple's image
     array is the graph: the neighbours of point k are ``images[:, k - 1]``.
-    ``black_coords`` maps each black edge ``(k, l)``, ``k < l``, in order, to
-    the coordinates sending k to l, in order: the coordinates agreeing at a
-    point are exactly those of one black edge at it.
+    The graph adds only ``pairs_at``, the ``(1, n)`` number of coordinate
+    pairs agreeing at each point (:func:`_agreeing_pairs`); every read is the
+    one-tuple case of a helper of the batch front (:func:`_certificates`).
     """
 
-    __slots__ = ("m", "n", "images", "black_coords")
+    __slots__ = ("m", "n", "images", "pairs_at")
 
     def __init__(self, t: InvolutionTuple):
         self.m, self.n, self.images = t.m, t.n, t.images
-        # Sorted, column k lists the neighbours of point k + 1 with equal ones
-        # side by side and, the sort being stable, their coordinates in order.
-        # A black edge is read once, at its lower end.
-        order = np.argsort(t.images, axis=0, kind="stable")
-        ends = np.take_along_axis(t.images, order, axis=0)
-        ks, rs = np.nonzero(((ends[1:] == ends[:-1]) & (ends[1:] > np.arange(1, self.n + 1))).T)
-        black: dict[tuple[int, int], list[int]] = {}
-        for k, l, c, c2 in zip(
-            ks.tolist(), ends[rs, ks].tolist(), order[rs, ks].tolist(), order[rs + 1, ks].tolist()
-        ):
-            black.setdefault((k + 1, l), [c + 1]).append(c2 + 1)
-        self.black_coords = {edge: tuple(cs) for edge, cs in black.items()}
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """All edges ``(k, l)``, ``k < l``, in order, built on each call."""
-        pairs = {(k, l) for row in self.images.tolist() for k, l in enumerate(row, 1) if k < l}
-        return tuple(sorted(pairs))
+        self.pairs_at = _agreeing_pairs(t.images[None])[0]
 
     def black_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.black_coords)
-
-    def white_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(e for e in self.edges() if e not in self.black_coords)
+        """The black edges ``(k, l)``, ``k < l``, in order."""
+        edges = _black_edges(self.images[None], self.pairs_at)[:, 1:] + 1
+        return tuple(map(tuple, edges.tolist()))
 
     def triple_witness(self) -> Optional[TripleWitness]:
-        """First (point, coordinate triple) with three coordinates agreeing.
-
-        Witnesses are lexicographically first in ``(k, i, j, p)``; None when
-        there is no triple matching (always, for m < 3).  The first point of
-        a triple matching is the lower end of its edge, so the witness is the
-        least ``(k, cs[:3])`` over edges with three or more coordinates.
-        """
-        return min(
-            (TripleWitness(k, cs[:3]) for (k, _), cs in self.black_coords.items() if len(cs) >= 3),
-            default=None,
-        )
+        """First (point, coordinate triple) with three coordinates agreeing, or None."""
+        return _triple_witness(self.images, int(_triples(self.images[None], self.pairs_at)[0]))
 
     def overlap_witness(self) -> Optional[OverlapWitness]:
-        """First point where two distinct coordinate pairs agree.
-
-        The pairs agreeing at a point are those of the black edges at it; the
-        two pairs may intersect.  The witness holds the two smallest pairs.
-        """
-        pairs_at: dict[int, list[tuple[int, int]]] = {}
-        for (k, l), cs in self.black_coords.items():
-            pairs = list(itertools.combinations(cs, 2))
-            pairs_at.setdefault(k, []).extend(pairs)
-            pairs_at.setdefault(l, []).extend(pairs)
-        point = min((p for p, pairs in pairs_at.items() if len(pairs) >= 2), default=None)
-        if point is None:
-            return None
-        first, second = sorted(pairs_at[point])[:2]
-        return OverlapWitness(point, first, second)
+        """First point where two distinct coordinate pairs agree, or None."""
+        return _overlap_witness(self.images, int(_first(self.pairs_at >= 2)[0]))
 
     def structure_set(self) -> StructureSet:
         """The structure set with B-side local involutions the tuple's entries.
@@ -319,21 +274,15 @@ class MatchGraph:
         Each edge ``{k < l}`` spans one square: cell ``(c, k)`` is paired with
         ``(c', l)``, c' being the edge's other coordinate, or c on a white
         edge.  The b-parts are thus the tuple's image array, and the a-parts
-        of row c are c except on black edges.  An edge with three coordinates
-        raises TripleMatchingError.
+        come from :func:`_a_parts`.  An edge with three coordinates raises
+        TripleMatchingError.
         """
-        if any(len(cs) >= 3 for cs in self.black_coords.values()):
-            raise TripleMatchingError(self.triple_witness())
+        witness = self.triple_witness()
+        if witness is not None:
+            raise TripleMatchingError(witness)
+        a_parts = _a_parts(self.images[None], _black_edges(self.images[None], self.pairs_at))
         # valid by construction, so the laws are not checked again
-        return _frozen(StructureSet, np.stack([self._a_parts(), self.images], axis=-1))
-
-    def _a_parts(self) -> np.ndarray:
-        """The (m, n) a-parts of the structure set; needs no triple matchings."""
-        a_part = np.repeat(np.arange(1, self.m + 1)[:, None], self.n, axis=1)
-        for (k, l), (c, c2) in self.black_coords.items():
-            a_part[c - 1, [k - 1, l - 1]] = c2
-            a_part[c2 - 1, [k - 1, l - 1]] = c
-        return a_part
+        return _frozen(StructureSet, np.stack([a_parts[0], self.images], axis=-1))
 
     def is_connected(self) -> bool:
         """Whether the group generated by the tuple's rows is transitive.
@@ -348,12 +297,12 @@ def match_graph(t: InvolutionTuple) -> MatchGraph:
 
 
 def triple_matchings(t: InvolutionTuple) -> Optional[TripleWitness]:
-    """The first triple matching of ``t``; see :meth:`MatchGraph.triple_witness`."""
+    """The first triple matching of ``t``; see :func:`_triple_witness`."""
     return match_graph(t).triple_witness()
 
 
 def overlapping_matches(t: InvolutionTuple) -> Optional[OverlapWitness]:
-    """The first overlapping match of ``t``; see :meth:`MatchGraph.overlap_witness`."""
+    """The first overlapping match of ``t``; see :func:`_overlap_witness`."""
     return match_graph(t).overlap_witness()
 
 
@@ -400,18 +349,92 @@ def _agreeing_pairs(
     return counts, matrix
 
 
+def _first(mask: np.ndarray) -> np.ndarray:
+    """The first true column of each row of a (B, n) mask, or -1 where none is."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+
+
 def _triples(imgs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Whether three coordinates agree at some point, for each tuple.
+    """The first 0-based point where three coordinates agree, per tuple, or -1.
 
     Three coordinates agreeing at a point make three agreeing pairs there
     (``counts`` of :func:`_agreeing_pairs`); only those points' columns are
-    sorted, equal neighbours side by side.
+    sorted, equal neighbours side by side.  The first point of a triple
+    matching is the lower end of its edge.
     """
     hb, hk = np.nonzero(counts >= 3)
     column = np.sort(imgs[hb, :, hk], axis=1)
-    flag = np.zeros(len(imgs), dtype=bool)
-    flag[hb[(column[:, 2:] == column[:, :-2]).any(axis=1)]] = True
-    return flag
+    hit = (column[:, 2:] == column[:, :-2]).any(axis=1)
+    mask = np.zeros(counts.shape, dtype=bool)
+    mask[hb[hit], hk[hit]] = True
+    return _first(mask)
+
+
+def _black_edges(imgs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The black edges of a (B, m, n) image array as rows ``(b, k, l)``.
+
+    Each edge once, 0-based with k < l, sorted: the equal neighbours in the
+    sorted columns of the points where pairs agree (``counts`` of
+    :func:`_agreeing_pairs`), deduplicated by one sort of their codes.
+    """
+    n = imgs.shape[2]
+    hb, hk = np.nonzero(counts)
+    column = np.sort(imgs[hb, :, hk], axis=1)
+    at, r = np.nonzero(column[:, 1:] == column[:, :-1])
+    eb, ek, el = hb[at], hk[at], column[at, r] - 1
+    code = np.sort(((eb * n + ek) * n + el)[ek < el])
+    code = code[np.diff(code, prepend=-1) != 0]
+    return np.stack([code // (n * n), code // n % n, code % n], axis=1)
+
+
+def _runs(column: np.ndarray, length: int) -> list[list[int]]:
+    """The 1-based coordinates, in order, of each value a column holds ``length`` times or more."""
+    values, counts = np.unique(column, return_counts=True)
+    return [(np.flatnonzero(column == v) + 1).tolist() for v in values[counts >= length]]
+
+
+def _triple_witness(images: np.ndarray, k: int) -> Optional[TripleWitness]:
+    """The triple matching of an (m, n) image array at its first such point k.
+
+    k is 0-based (from :func:`_triples`), and -1 gives None.  The witness is
+    lexicographically first in ``(k, i, j, p)``: the least first three
+    coordinates of a run of three or more equal neighbours in column k.
+    """
+    if k < 0:
+        return None
+    return TripleWitness(k + 1, min(tuple(run[:3]) for run in _runs(images[:, k], 3)))
+
+
+def _overlap_witness(images: np.ndarray, k: int) -> Optional[OverlapWitness]:
+    """The overlapping match of an (m, n) image array at its first such point k.
+
+    k is 0-based, and -1 gives None.  The pairs agreeing at k are those of
+    each run of equal neighbours in column k, and the two pairs may
+    intersect.  The witness holds the two smallest, which are among the
+    first two pairs of each run.
+    """
+    if k < 0:
+        return None
+    pairs = sorted((run[0], c) for run in _runs(images[:, k], 2) for c in run[1:3])
+    return OverlapWitness(k + 1, pairs[0], pairs[1])
+
+
+def _a_parts(images: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The (B, m, n) a-parts of structure sets, from black edges ``(b, k, l)``.
+
+    Cell (c, k) of a black edge {k, l} is paired with (c', l), c' being the
+    edge's other coordinate, so the a-part of row c is c' at both ends and c
+    elsewhere.  The edges' tuples need no triple matchings; a tuple with no
+    edge listed keeps each row's own coordinate.
+    """
+    size, m, n = images.shape
+    a_part = np.broadcast_to(np.arange(1, m + 1)[:, None], (size, m, n)).copy()
+    b, k, l = edges.T
+    agree = images[b, :, k] == l[:, None] + 1  # (E, m): the edge's two coordinates
+    c, c2 = agree.argmax(axis=1), m - 1 - agree[:, ::-1].argmax(axis=1)
+    for end in (k, l):
+        a_part[b, c, end], a_part[b, c2, end] = c2 + 1, c + 1
+    return a_part
 
 
 def _midpoints(shared: np.ndarray) -> list[MidpointResult]:
@@ -442,8 +465,8 @@ def white_ball_vertex(graph: MatchGraph, radius: int) -> Optional[int]:
 
     The one-tuple case of :func:`_white_balls`.
     """
-    ends = np.array(graph.black_edges(), dtype=np.int64).reshape(-1, 2) - 1
-    return _white_balls(graph.images[None], np.insert(ends, 0, 0, axis=1), radius)[0]
+    edges = _black_edges(graph.images[None], graph.pairs_at)
+    return _white_balls(graph.images[None], edges, radius)[0]
 
 
 def _white_balls(images: np.ndarray, edges: np.ndarray, radius: int) -> list[Optional[int]]:
@@ -656,9 +679,9 @@ def _certificates(
     at each point (:func:`_agreeing_pairs`) give the flags, the statistic
     and the shared-orbit matrix that decides the midpoints
     (:func:`_midpoints`); the sorted columns of the points where pairs agree
-    give the black edges for :func:`_white_balls`.  Only a tuple with an
-    overlapping match, or an A side classified from its a-parts, builds its
-    :class:`MatchGraph`, for the witnesses and the a-parts.
+    give the black edges (:func:`_black_edges`) for :func:`_white_balls` and
+    :func:`_a_parts`.  Each witness reads one column of its tuple, at the
+    first point where three coordinates, or two pairs, agree.
 
     A side, by theorem: with no triple matching, the generator at point k is
     the product of the disjoint transpositions (c c') of the black edges at
@@ -678,32 +701,21 @@ def _certificates(
     """
     size, m, n = images.shape
     pairs_at, shared = _agreeing_pairs(images, shared=True)
-    triple = _triples(images, pairs_at)
-    # each black edge (b, k, l), 0-based and k < l, once, in order: the
-    # equal neighbours in the sorted columns of the points where pairs agree
-    hb, hk = np.nonzero(pairs_at)
-    column = np.sort(images[hb, :, hk], axis=1)
-    at, r = np.nonzero(column[:, 1:] == column[:, :-1])
-    eb, ek, el = hb[at], hk[at], column[at, r] - 1
-    code = np.sort(((eb * n + ek) * n + el)[ek < el])
-    code = code[np.diff(code, prepend=-1) != 0]
-    edges = np.stack([code // (n * n), code // n % n, code % n], axis=1)
+    triple_at, overlap_at = _triples(images, pairs_at), _first(pairs_at >= 2)
+    triple = triple_at >= 0
+    edges = _black_edges(images, pairs_at)
     mid = _midpoints(shared) if m >= 3 else None
 
     # the A sides: by theorem, or from the a-parts
     doubly = np.zeros(size, dtype=bool)
     doubly[edges[(pairs_at[edges[:, :1], edges[:, 1:]] >= 2).all(axis=1), 0]] = True
     by_parts = ~triple & (doubly | (m > exact_max_degree))
-    overlap = (pairs_at >= 2).any(axis=1)
-    graph = {
-        b: MatchGraph(InvolutionTuple._of(images[b]))
-        for b in np.flatnonzero(overlap | by_parts).tolist()
-    }
+    a_parts = _a_parts(images, edges[by_parts[edges[:, 0]]])
     reach = shared.astype(bool) | np.eye(m, dtype=bool)
     for _ in range((m - 1).bit_length()):
         reach = reach @ reach
     partitions = map(tuple, np.sort(reach.sum(axis=2), axis=1).tolist())
-    triple, overlap, by_parts = triple.tolist(), overlap.tolist(), by_parts.tolist()
+    triple, by_parts = triple.tolist(), by_parts.tolist()
     guards = dict(order_guard=order_guard, exact_max_degree=exact_max_degree)
     classified: dict = {}  # by partition, or by tuple for the a-parts
     a_local = []
@@ -711,7 +723,7 @@ def _certificates(
         key = b if by_parts[b] else sizes
         if not triple[b] and key not in classified:
             a_group = (
-                PermutationGroup._from_images0(m, graph[b]._a_parts().T - 1)
+                PermutationGroup._from_images0(m, a_parts[b].T - 1)
                 if by_parts[b]
                 else _symmetric_product(sizes)
             )
@@ -719,7 +731,8 @@ def _certificates(
         a_local.append(None if triple[b] else classified[key])
     whites = _white_balls(images, edges, radius)
     statistic, black = (pairs_at.sum(axis=1) // 2).tolist(), pairs_at.any(axis=1).tolist()
-    del pairs_at, shared, reach  # before the B sides' stacks
+    triple_at, overlap_at = triple_at.tolist(), overlap_at.tolist()
+    del pairs_at, shared, reach, a_parts  # before the B sides' stacks
 
     # The group of a tuple's rows is transitive exactly when the match graph
     # is connected; without triple matchings it is the B-side local action.
@@ -742,9 +755,9 @@ def _certificates(
             n=n,
             radius=radius,
             no_triple_matchings=not triple[b],
-            triple_witness=graph[b].triple_witness() if triple[b] else None,
-            no_overlapping_matches=not overlap[b],
-            overlap_witness=graph[b].overlap_witness() if overlap[b] else None,
+            triple_witness=_triple_witness(images[b], triple_at[b]),
+            no_overlapping_matches=overlap_at[b] < 0,
+            overlap_witness=_overlap_witness(images[b], overlap_at[b]),
             midpoint=None if mid is None else mid[b].holds,
             midpoint_witness=None if mid is None else mid[b].failing,
             white_ball_vertex=whites[b],
@@ -789,8 +802,7 @@ def exact_orbit_share_prob(n: int) -> OrbitShareProbability:
     convention (-1)!! = 1 covering the last term.  Converges to
     1 - exp(-1/2) as n grows.
     """
-    if n < 2 or n % 2:
-        raise DegreeError("n must be even and at least 2")
+    _check_even(n)
     r = n // 2
     # One pass over k = r .. 1 on the common denominator (n-1)!!: ``comb`` is
     # C(r, k) and ``df`` is (n-2k-1)!!, which ends as (n-1)!!.
@@ -805,8 +817,7 @@ def exact_orbit_share_prob(n: int) -> OrbitShareProbability:
 
 def expected_match_statistic(m: int, n: int) -> Fraction:
     """Exact mean of the shared-orbit statistic: C(m,2) * n / (2(n-1))."""
-    if n < 2 or n % 2:
-        raise DegreeError("n must be even and at least 2")
+    _check_even(n)
     return Fraction(math.comb(m, 2) * n, 2 * (n - 1))
 
 
@@ -908,7 +919,7 @@ def _shared_orbit_count(imgs: np.ndarray) -> np.ndarray:
 
 
 def _has_triple_matching(imgs: np.ndarray) -> np.ndarray:
-    return _triples(imgs, _agreeing_pairs(imgs)[0])
+    return _triples(imgs, _agreeing_pairs(imgs)[0]) >= 0
 
 
 def _has_overlap(imgs: np.ndarray) -> np.ndarray:
@@ -1018,8 +1029,7 @@ def monte_carlo(
     """
     if kind not in MC_KINDS:
         raise UsageError(f"unknown kind {kind!r}; expected one of {MC_KINDS}")
-    if n < 2 or n % 2:
-        raise DegreeError("n must be even and at least 2")
+    _check_even(n)
     if kind == "orbit_share":
         if m not in (None, 2):
             raise UsageError("orbit_share is a two-coordinate statistic")

@@ -20,7 +20,7 @@ local involutions, relabeling and transposition are slices and indexing.
 
 The census counts structure sets without listing them.  The count is a
 memoized dynamic program over the bitmask of covered cells: the lowest free
-cell picks the square covering it, as in :func:`iter_structure_sets`.  The
+cell picks the square covering it, which is fixed by its opposite corner.  The
 number of relabeling classes comes from Burnside's lemma: the same DP counts
 the sets fixed by one relabeling of each pair of cycle types, placing whole
 orbits of squares at a time, and the weighted mean of those counts over
@@ -364,14 +364,6 @@ class PartialStructureSet:
         return _frozen(StructureSet, np.where(partners > 0, partners, _grid(self.m, self.n)))
 
 
-def merge(p: PartialStructureSet, q: PartialStructureSet) -> PartialStructureSet:
-    return p.merge(q)
-
-
-def complete_with_diagonal(p: PartialStructureSet) -> StructureSet:
-    return p.complete_with_diagonal()
-
-
 # -- relabeling -------------------------------------------------------------------------
 
 
@@ -383,10 +375,6 @@ def relabel(s: StructureSet, r: Relabeling) -> StructureSet:
     mu_of, nu_of = np.array((0,) + mu.images), np.array((0,) + nu.images)
     moved = np.stack([mu_of[s._partners[..., 0]], nu_of[s._partners[..., 1]]], axis=-1)
     return _frozen(StructureSet, moved[np.ix_(np.argsort(mu_of[1:]), np.argsort(nu_of[1:]))])
-
-
-def local_involutions(s: StructureSet, side: str) -> tuple[Permutation, ...]:
-    return s.local_involutions(side)
 
 
 # -- canonical forms ----------------------------------------------------------------------
@@ -606,52 +594,19 @@ def _census_degrees(m: int, n: int, guard: int) -> tuple[int, int]:
     return m, n
 
 
-def iter_structure_sets(m: int, n: int, guard: int = DEFAULT_CENSUS_GUARD) -> Iterator[StructureSet]:
-    """Exhaustively enumerate all ``(m, n)``-structure sets.
-
-    Backtracking over cells in row-major order: the first free cell picks the
-    square covering it, which is determined by the choice of its opposite
-    corner.  Each structure set is produced exactly once.  ``partner`` holds
-    the 0-based flat partner cell of each covered cell, -1 on free ones.
-    """
-    m, n = _census_degrees(m, n, guard)
-    size = m * n
-    partner = [-1] * size
-
-    def rec(c: int) -> Iterator[StructureSet]:
-        while c < size and partner[c] >= 0:
-            c += 1
-        if c == size:
-            flat = np.array(partner)
-            yield _frozen(StructureSet, np.stack(divmod(flat, n), axis=-1).reshape(m, n, 2) + 1)
-            return
-        i, k = divmod(c, n)
-        for j in range(m):
-            for l in range(n):
-                il, jk, jl = i * n + l, j * n + k, j * n + l
-                if partner[il] >= 0 or partner[jk] >= 0 or partner[jl] >= 0:
-                    continue
-                partner[c], partner[jl] = jl, c
-                partner[il], partner[jk] = jk, il
-                yield from rec(c + 1)
-                partner[c] = partner[il] = partner[jk] = partner[jl] = -1
-
-    return rec(0)
-
-
 def _fixed_count(m: int, n: int, mu: Sequence[int], nu: Sequence[int]) -> int:
     """Number of ``(m, n)``-structure sets fixed by the relabeling ``(mu, nu)``.
 
     ``mu`` and ``nu`` are 0-based image lists.  A square is the cell set
     ``{i, j} x {k, l}``, so a relabeling maps squares to squares and fixes a
     structure set exactly when it permutes the set's squares.  Cell ``(i, k)``
-    (0-based) is bit ``i * n + k`` of the covered mask.  As in
-    :func:`iter_structure_sets`, the lowest free cell picks its opposite
-    corner; a fixed set holds the whole ``<(mu, nu)>``-orbit of that square,
-    so the orbit is placed at once.  It is a legal move only when its
-    distinct squares are pairwise cell-disjoint and cover no cell below the
-    free one, all of which are covered by then.  The count of completions
-    depends only on the mask, which keys the memo.
+    (0-based) is bit ``i * n + k`` of the covered mask.  As in the set
+    count, the lowest free cell picks its opposite corner; a fixed set holds
+    the whole ``<(mu, nu)>``-orbit of that square, so the orbit is placed at
+    once.  It is a legal move only when its distinct squares are pairwise
+    cell-disjoint and cover no cell below the free one, all of which are
+    covered by then.  The count of completions depends only on the mask,
+    which keys the memo.
     """
     size = m * n
 

@@ -19,6 +19,12 @@ pointer doubling, label hooking and block-drawn Jordan words, one word
 loop per group instead of words shared on a block-diagonal stack, an
 ``np.unique`` over every covered cell instead of the low-corner square
 view, and the square-and-merge completion instead of the s0 fill table.
+
+Some reference paths live only here: the scalar fixed-point-free sampler
+(one ``randbelow`` call per step, the semantics every library sampler
+keeps), orbit pairings, restriction to an invariant domain, the
+backtracking listing of every structure set, and the edge lists of a match
+graph.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from bmwgroups.errors import (
     IndexOutOfRangeError,
     TripleMatchingError,
 )
-from bmwgroups.perm import FpfInvolution, enumerate_fpf, pairing, random_fpf_images
+from bmwgroups.perm import FpfInvolution, Permutation, enumerate_fpf
 from bmwgroups.permgroup import (
     DEFAULT_ORDER_GUARD,
     DEFAULT_PRIMITIVITY_GUARD,
@@ -58,9 +64,101 @@ from bmwgroups.structure import (
     DEFAULT_CENSUS_GUARD,
     PartialStructureSet,
     Square,
-    iter_structure_sets,
+    StructureSet,
+    _census_degrees,
+    _frozen,
     validate,
 )
+
+
+def random_fpf_images(n, rng):
+    """A uniform fixed-point-free involution of even degree n, as 1-based images.
+
+    Step s pairs the anchor slot 2s with a uniform slot among the remaining
+    ones, one ``randbelow(n - 1 - 2s)`` call per step.
+    """
+    if n < 2 or n % 2:
+        raise DegreeError("n must be even and at least 2")
+    slots = list(range(1, n + 1))
+    images = [0] * n
+    for step in range(n // 2):
+        anchor_pos = 2 * step
+        j = anchor_pos + 1 + rng.randbelow(n - anchor_pos - 1)
+        slots[anchor_pos + 1], slots[j] = slots[j], slots[anchor_pos + 1]
+        a, b = slots[anchor_pos], slots[anchor_pos + 1]
+        images[a - 1], images[b - 1] = b, a
+    return images
+
+
+def random_fpf(n, rng):
+    """:func:`random_fpf_images` as a checked ``FpfInvolution``."""
+    return FpfInvolution(random_fpf_images(n, rng))
+
+
+def pairing(alpha):
+    """The 2-point orbits of an involution as sorted pairs.
+
+    For a fixed-point-free involution of degree ``n`` this is a perfect
+    matching with exactly ``n/2`` pairs.
+    """
+    if not alpha.is_involution():
+        raise DegreeError("pairing is defined for involutions")
+    return frozenset((i + 1, v) for i, v in enumerate(alpha.images) if i + 1 < v)
+
+
+def shares_common_orbit(alpha, beta):
+    """Whether two involutions of equal degree have a common 2-point orbit."""
+    if alpha.degree != beta.degree:
+        raise DegreeError("degree mismatch")
+    a, b = alpha.images, beta.images
+    return any(v == b[i] and v != i + 1 for i, v in enumerate(a))
+
+
+def restricted(perm, domain):
+    """Re-index the action of ``perm`` on an invariant sorted ``domain`` to 1..len(domain)."""
+    pos = {p: i + 1 for i, p in enumerate(domain)}
+    if any(perm(p) not in pos for p in domain):
+        raise DegreeError("domain is not invariant")
+    return Permutation([pos[perm(p)] for p in domain])
+
+
+def iter_structure_sets(m, n, guard=DEFAULT_CENSUS_GUARD):
+    """Every ``(m, n)``-structure set, once each, by backtracking.
+
+    Cells run in row-major order: the first free cell picks the square
+    covering it, which is fixed by the choice of its opposite corner.
+    ``partner`` holds the 0-based flat partner cell of each covered cell, -1
+    on free ones.
+    """
+    m, n = _census_degrees(m, n, guard)
+    size = m * n
+    partner = [-1] * size
+
+    def rec(c):
+        while c < size and partner[c] >= 0:
+            c += 1
+        if c == size:
+            flat = np.array(partner)
+            yield _frozen(StructureSet, np.stack(divmod(flat, n), axis=-1).reshape(m, n, 2) + 1)
+            return
+        i, k = divmod(c, n)
+        for j in range(m):
+            for l in range(n):
+                il, jk, jl = i * n + l, j * n + k, j * n + l
+                if partner[il] >= 0 or partner[jk] >= 0 or partner[jl] >= 0:
+                    continue
+                partner[c], partner[jl] = jl, c
+                partner[il], partner[jk] = jk, il
+                yield from rec(c + 1)
+                partner[c] = partner[il] = partner[jk] = partner[jl] = -1
+
+    return rec(0)
+
+
+def white_edges(graph):
+    """The edges ``(k, l)``, ``k < l``, of a match graph not among its black edges, in order."""
+    edges = {(k, l) for row in graph.images.tolist() for k, l in enumerate(row, 1) if k < l}
+    return tuple(sorted(edges - set(graph.black_edges())))
 
 
 def fpf_involutions_by_filter(n):
@@ -473,7 +571,7 @@ def enumerate_tuples(m, n):
     """All of (F_n)^m, in lexicographic order; desk-scale only."""
     pool = list(enumerate_fpf(n))
     for combo in itertools.product(pool, repeat=m):
-        yield InvolutionTuple.from_images([e.images for e in combo])
+        yield InvolutionTuple([e.images for e in combo])
 
 
 def sample_tuple_by_scalar_loop(m, n, rng):
@@ -672,22 +770,22 @@ def certificates_by_tuple(
 ):
     """``irr_certificate`` of each tuple, its front read one tuple at a time.
 
-    Each tuple builds its match graph and reads the witnesses and the white
-    ball off it, takes the midpoint and the statistic from its orbit
-    pairings, and classifies its A side from the structure
-    set's a-part columns.  The B sides are classified together, as in the
-    batch front.
+    Each tuple takes its witnesses from the point scans, its midpoint,
+    statistic and black edges from its orbit pairings, its white ball from
+    its match graph, and classifies its A side from the a-part columns of
+    the structure set built from its squares.  The B sides are classified
+    together, as in the batch front.
     """
     fronts, b_groups = [], []
     for t in tuples:
-        graph = match_graph(t)
-        triple = graph.triple_witness()
-        overlap = graph.overlap_witness()
+        triple = triple_matchings_by_scan(t)
+        overlap = overlapping_matches_by_scan(t)
         mid = midpoint_by_pairings(t) if t.m >= 3 else None
         a_cls = None
         if triple is None:
             # the A-side local involutions: the structure set's a-part columns
-            a_group = PermutationGroup._from_images0(t.m, graph._a_parts().T - 1)
+            a_parts = structure_set_by_squares(t)._partners[..., 0]
+            a_group = PermutationGroup._from_images0(t.m, a_parts.T - 1)
             a_cls = a_group.classify(
                 "auto", order_guard=order_guard, exact_max_degree=exact_max_degree
             )
@@ -702,8 +800,8 @@ def certificates_by_tuple(
                 overlap_witness=overlap,
                 midpoint=None if mid is None else mid.holds,
                 midpoint_witness=None if mid is None else mid.failing,
-                white_ball_vertex=white_ball_vertex(graph, radius),
-                has_black_edge=bool(graph.black_edges()),
+                white_ball_vertex=white_ball_vertex(match_graph(t), radius),
+                has_black_edge=any(edge_colours_by_pairings(t).values()),
                 match_statistic=match_statistic_by_pairings(t),
                 a_local=a_cls,
             )

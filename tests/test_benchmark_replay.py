@@ -1,9 +1,11 @@
-"""Tier-1 smoke of the benchmark's replays: stage-by-stage certify and census.
+"""Tier-1 smoke of the benchmark's checks and replays.
 
 ``perfbench/workloads.py`` rebuilds each ``irr_certificate`` report from the
-public functions it is made of, one call at a time, and the census document
-from the two census counts.  A change to any of them that breaks the
-decomposition fails here instead of in a benchmark run.
+public functions it is made of, one call at a time, each estimate document
+from ``monte_carlo``, the ``s0`` document from the Radu family's
+constructors and the census document from the two census counts.  A change
+to any library name they read that breaks them fails here instead of in a
+benchmark run.
 """
 
 import hashlib
@@ -53,3 +55,13 @@ def test_census_op_checks_replays_and_matches_golden(workloads):
     golden = json.loads((PERFBENCH / "golden.json").read_text())
     digest = hashlib.sha256(out.docs["doc"].encode()).hexdigest()
     assert digest == golden["full"]["exact"]["census.doc"]
+
+
+@pytest.mark.parametrize("name", ["MonteCarlo", "Exact"])
+def test_every_tiny_op_checks_and_replays(workloads, name):
+    module, tracer = workloads
+    workload = getattr(module, name)(0, "tiny")
+    for label, op in workload.ops():
+        out = op(tracer(False))
+        assert workload.check(label, out) == [], label
+        assert workload.replay(label, out, tracer(False)) == [], label

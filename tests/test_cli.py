@@ -27,7 +27,7 @@ def example_tuple():
     def cyc(n, *cycles):
         return Permutation.from_cycles(n, cycles)
 
-    return InvolutionTuple.from_images(
+    return InvolutionTuple(
         [
             cyc(6, (1, 2), (3, 4), (5, 6)).images,
             cyc(6, (1, 2), (3, 5), (4, 6)).images,
@@ -283,7 +283,7 @@ class TestAnalyze:
 
     def test_triple_matching_tuple(self, capsys, tmp_path):
         a = Permutation.from_cycles(4, [(1, 2), (3, 4)])
-        tup = InvolutionTuple.from_images([a.images] * 3)
+        tup = InvolutionTuple([a.images] * 3)
         path = self._write_tuple(tmp_path, tup)
         code, out, _err = run(capsys, "analyze", "--input", path)
         assert code == 1

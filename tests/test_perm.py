@@ -8,14 +8,18 @@ from bmwgroups.perm import (
     count_involutions,
     double_factorial,
     enumerate_fpf,
-    pairing,
-    random_fpf,
-    shares_common_orbit,
 )
 from bmwgroups.randmodel import sample_tuple_images_batch
 from bmwgroups.rng import RngState
 
-from .oracles import fpf_involutions_by_filter, involution_count_by_filter
+from .oracles import (
+    fpf_involutions_by_filter,
+    involution_count_by_filter,
+    pairing,
+    random_fpf,
+    restricted,
+    shares_common_orbit,
+)
 
 
 def cyc(n, *cycles):
@@ -49,10 +53,10 @@ class TestPermutation:
 
     def test_restricted(self):
         p = cyc(8, (6, 8))
-        r = p.restricted(range(6, 9))
+        r = restricted(p, range(6, 9))
         assert r.degree == 3 and r(1) == 3 and r(2) == 2
         with pytest.raises(DegreeError):
-            cyc(8, (5, 6)).restricted(range(6, 9))
+            restricted(cyc(8, (5, 6)), range(6, 9))
 
 
 class TestFpfInvolution:

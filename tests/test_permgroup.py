@@ -8,7 +8,7 @@ import pytest
 import bmwgroups.rng as rng_module
 from bmwgroups import radu, schreier
 from bmwgroups.errors import ResourceError, UsageError
-from bmwgroups.perm import Permutation, random_fpf_images
+from bmwgroups.perm import Permutation
 from bmwgroups.permgroup import (
     _JORDAN_SEED,
     DEFAULT_JORDAN_WORD_LEN,
@@ -18,11 +18,6 @@ from bmwgroups.permgroup import (
     _block_stack,
     _classify_groups,
     _orbit_labels,
-    contains_alternating,
-    group_order,
-    is_primitive,
-    is_transitive,
-    is_two_transitive,
     schreier_analysis,
 )
 from bmwgroups.randmodel import (
@@ -42,6 +37,7 @@ from .oracles import (
     is_two_transitive_by_closure,
     orbit_by_search,
     prime_cycle_by_walk,
+    random_fpf_images,
     word_by_scalar_loop,
 )
 
@@ -236,13 +232,13 @@ class TestArrayGroup:
 
 class TestOrder:
     def test_sym5(self):
-        assert group_order(SYM5) == 120 == closure_order(SYM5.generators)
+        assert SYM5.order() == 120 == closure_order(SYM5.generators)
 
     def test_klein(self):
-        assert group_order(KLEIN) == 4 == closure_order(KLEIN.generators)
+        assert KLEIN.order() == 4 == closure_order(KLEIN.generators)
 
     def test_trivial(self):
-        assert group_order(group(3, Permutation.identity(3))) == 1
+        assert group(3, Permutation.identity(3)).order() == 1
 
     def test_guard(self):
         gen = Permutation.transposition(3000, 1, 2)
@@ -255,7 +251,7 @@ class TestOrder:
             for _ in range(10):
                 gens = [_random_perm(degree, rng) for _ in range(2)]
                 g = PermutationGroup(degree, gens)
-                assert group_order(g) == closure_order(gens)
+                assert g.order() == closure_order(gens)
 
     def test_order_divides_factorial_and_gen_orders_divide(self):
         rng = RngState(77)
@@ -263,7 +259,7 @@ class TestOrder:
             degree = 4 + rng.randbelow(4)
             gens = [_random_perm(degree, rng) for _ in range(2)]
             g = PermutationGroup(degree, gens)
-            order = group_order(g)
+            order = g.order()
             assert math.factorial(degree) % order == 0
             for gen in gens:
                 k = 1
@@ -415,21 +411,21 @@ class TestTheoremRoute:
 
 class TestTransitivity:
     def test_examples(self):
-        assert is_transitive(SYM5)
-        assert is_transitive(KLEIN)
-        assert not is_transitive(group(4, cyc(4, (1, 2))))
+        assert SYM5.is_transitive()
+        assert KLEIN.is_transitive()
+        assert not group(4, cyc(4, (1, 2))).is_transitive()
 
     def test_two_transitive_examples(self):
-        assert is_two_transitive(group(3, cyc(3, (1, 2)), cyc(3, (1, 2, 3))))
-        assert not is_two_transitive(group(3, cyc(3, (1, 2, 3))))
-        assert not is_two_transitive(DIHEDRAL4)
+        assert group(3, cyc(3, (1, 2)), cyc(3, (1, 2, 3))).is_two_transitive()
+        assert not group(3, cyc(3, (1, 2, 3))).is_two_transitive()
+        assert not DIHEDRAL4.is_two_transitive()
 
     def test_two_transitive_matches_closure_oracle(self):
         rng = RngState(13)
         for _ in range(20):
             degree = 4 + rng.randbelow(3)
             gens = [_random_perm(degree, rng) for _ in range(2)]
-            got = is_two_transitive(PermutationGroup(degree, gens))
+            got = PermutationGroup(degree, gens).is_two_transitive()
             assert got == is_two_transitive_by_closure(gens, degree)
 
     @staticmethod
@@ -513,7 +509,7 @@ def _random_wreath_element(b, c, rng):
 def _primitivity_checked(degree, gens):
     """``is_primitive`` on fresh groups, checked against the all-blocks oracle and, up to
     degree 6, the partition scan."""
-    got = is_primitive(PermutationGroup(degree, gens))
+    got = PermutationGroup(degree, gens).is_primitive()
     assert got == is_primitive_by_all_blocks(PermutationGroup(degree, gens))
     if degree <= 6:
         assert got == is_primitive_by_partition_scan(gens, degree)
@@ -522,16 +518,16 @@ def _primitivity_checked(degree, gens):
 
 class TestPrimitivity:
     def test_examples(self):
-        assert not is_primitive(KLEIN)
-        assert is_primitive(group(4, cyc(4, (1, 2)), cyc(4, (1, 2, 3, 4))))
-        assert not is_primitive(DIHEDRAL4)
+        assert not KLEIN.is_primitive()
+        assert group(4, cyc(4, (1, 2)), cyc(4, (1, 2, 3, 4))).is_primitive()
+        assert not DIHEDRAL4.is_primitive()
 
     def test_block_witnesses(self):
         assert KLEIN.minimal_block_with(2) == frozenset({1, 2})
         assert DIHEDRAL4.minimal_block_with(3) == frozenset({1, 3})
 
     def test_intransitive_is_false(self):
-        assert not is_primitive(group(4, cyc(4, (1, 2))))
+        assert not group(4, cyc(4, (1, 2))).is_primitive()
 
     def test_matches_partition_scan_oracle(self):
         rng = RngState(29)
@@ -539,10 +535,10 @@ class TestPrimitivity:
             degree = 4 + rng.randbelow(3)
             gens = [_random_perm(degree, rng) for _ in range(2)]
             g = PermutationGroup(degree, gens)
-            if not is_transitive(g):
-                assert not is_primitive(g)
+            if not g.is_transitive():
+                assert not g.is_primitive()
                 continue
-            assert is_primitive(g) == is_primitive_by_partition_scan(gens, degree)
+            assert g.is_primitive() == is_primitive_by_partition_scan(gens, degree)
 
     def test_primitive_groups_with_several_suborbits(self):
         # prime degree: every transitive group is primitive.  The stabilizer
@@ -623,9 +619,9 @@ class TestPrimitivity:
         for _ in range(40):
             degree = 3 + rng.randbelow(5)
             g = PermutationGroup(degree, [_random_perm(degree, rng), cyc(degree, (1, 2))])
-            two_t = is_two_transitive(g)
-            prim = is_primitive(g)
-            trans = is_transitive(g)
+            two_t = g.is_two_transitive()
+            prim = g.is_primitive()
+            trans = g.is_transitive()
             if two_t:
                 assert prim
             if prim:
@@ -635,17 +631,17 @@ class TestPrimitivity:
 class TestAlternatingRecognition:
     def test_sym7_exact(self):
         g = group(7, cyc(7, (1, 2)), cyc(7, (1, 2, 3, 4, 5, 6, 7)))
-        assert contains_alternating(g, "exact") is True
-        assert group_order(g) == math.factorial(7)
+        assert g.contains_alternating("exact") is True
+        assert g.order() == math.factorial(7)
 
     def test_klein_exact_false(self):
-        assert contains_alternating(KLEIN, "exact") is False
+        assert KLEIN.contains_alternating("exact") is False
 
     def test_small_degree_brute(self):
-        assert contains_alternating(group(3, cyc(3, (1, 2, 3))), "exact") is True
-        assert contains_alternating(group(4, cyc(4, (1, 2))), "exact") is False
+        assert group(3, cyc(3, (1, 2, 3))).contains_alternating("exact") is True
+        assert group(4, cyc(4, (1, 2))).contains_alternating("exact") is False
         assert (
-            contains_alternating(group(4, cyc(4, (1, 2, 3)), cyc(4, (2, 3, 4))), "exact")
+            group(4, cyc(4, (1, 2, 3)), cyc(4, (2, 3, 4))).contains_alternating("exact")
             is True
         )
 
@@ -658,17 +654,17 @@ class TestAlternatingRecognition:
                 for gens in itertools.combinations(elements, k):
                     expected = contains_alternating_by_closure(gens, degree)
                     g = PermutationGroup(degree, gens)
-                    assert contains_alternating(g, "exact") is expected
-                    assert contains_alternating(g, "jordan") is expected
+                    assert g.contains_alternating("exact") is expected
+                    assert g.contains_alternating("jordan") is expected
                     assert g.classify().contains_alternating is expected
 
     def test_alt_itself(self):
         alt5 = group(5, cyc(5, (1, 2, 3)), cyc(5, (3, 4, 5)))
-        assert contains_alternating(alt5, "exact") is True
-        assert group_order(alt5) == 60
+        assert alt5.contains_alternating("exact") is True
+        assert alt5.order() == 60
 
     def test_jordan_intransitive_false(self):
-        assert contains_alternating(group(6, cyc(6, (1, 2))), "jordan") is False
+        assert group(6, cyc(6, (1, 2))).contains_alternating("jordan") is False
 
     def test_jordan_on_symmetric_groups(self):
         for degree in (8, 24, 60, 150):
@@ -677,7 +673,7 @@ class TestAlternatingRecognition:
                 Permutation.transposition(degree, 1, 2),
                 Permutation.from_cycles(degree, [tuple(range(1, degree + 1))]),
             )
-            assert contains_alternating(g, "jordan", rng=RngState(4)) is True
+            assert g.contains_alternating("jordan", rng=RngState(4)) is True
 
     def test_jordan_implies_exact(self):
         # agreement whenever both strategies run, sampled across degrees
@@ -685,10 +681,10 @@ class TestAlternatingRecognition:
         for degree in (8, 12, 30, 60):
             gens = [_random_perm(degree, rng) for _ in range(2)]
             g = PermutationGroup(degree, gens)
-            verdict = contains_alternating(g, "jordan", rng=RngState(degree))
+            verdict = g.contains_alternating("jordan", rng=RngState(degree))
             if verdict is True:
                 g2 = PermutationGroup(degree, gens)
-                assert contains_alternating(g2, "exact") is True
+                assert g2.contains_alternating("exact") is True
 
     def test_jordan_never_false_positive_on_imprimitive(self):
         # wreath-like imprimitive transitive group on 8 points
@@ -698,8 +694,8 @@ class TestAlternatingRecognition:
             cyc(8, (5, 6, 7, 8)),
             cyc(8, (1, 5), (2, 6), (3, 7), (4, 8)),
         )
-        assert contains_alternating(g, "jordan", rng=RngState(9)) in (None, False)
-        assert contains_alternating(g, "exact") is False
+        assert g.contains_alternating("jordan", rng=RngState(9)) in (None, False)
+        assert g.contains_alternating("exact") is False
 
 
 def _stack_equals_word_loop(groups, words=DEFAULT_JORDAN_WORDS):

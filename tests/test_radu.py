@@ -10,7 +10,6 @@ from bmwgroups.radu import (
     ClaimCheck,
     S0Blueprint,
     TaggedSquare,
-    base_partial_set,
     blueprint,
     delta,
     extension,
@@ -23,7 +22,7 @@ from bmwgroups.radu import (
 from bmwgroups.rng import RngState
 from bmwgroups.structure import Square, validate
 
-from .oracles import extension_by_merge
+from .oracles import extension_by_merge, restricted
 
 
 def cyc(n, *cycles):
@@ -75,16 +74,16 @@ class TestOuterInvolutions:
     @pytest.mark.parametrize("n", range(14, 61))
     def test_generate_full_symmetric_on_upper_labels(self, n):
         # both parities of the interval end exercise the tail convention
-        gens = [outer_b_involution(i, n).restricted(range(6, n + 1)) for i in (1, 2, 3)]
+        gens = [restricted(outer_b_involution(i, n), range(6, n + 1)) for i in (1, 2, 3)]
         assert PermutationGroup(n - 5, gens).order() == math.factorial(n - 5)
 
     @pytest.mark.parametrize("m", [13, 14, 19, 20, 33, 34])
     def test_a_side_generate_full_symmetric(self, m):
-        gens = [outer_a_involution(i, m).restricted(range(5, m + 1)) for i in (1, 2, 3)]
+        gens = [restricted(outer_a_involution(i, m), range(5, m + 1)) for i in (1, 2, 3)]
         assert PermutationGroup(m - 4, gens).order() == math.factorial(m - 4)
 
     def test_reindexed_group_contains_alternating(self):
-        gens = [outer_b_involution(i, 20).restricted(range(6, 21)) for i in (1, 2, 3)]
+        gens = [restricted(outer_b_involution(i, 20), range(6, 21)) for i in (1, 2, 3)]
         g = PermutationGroup(15, gens)
         assert g.contains_alternating("exact") is True
         assert g.order() == math.factorial(15)
@@ -138,14 +137,14 @@ class TestBasePartialSet:
     def test_conflict_free_sweep(self, m):
         # construction raises ConflictingPairError if any two families touch
         for n in range(14, 41):
-            partial = base_partial_set(m, n)
+            partial = blueprint(m, n).partial_set()
             rows, cols = free_block(m, n)
             for i in rows:
                 for k in cols:
                     assert not partial.covers(i, k)
 
     def test_free_block_is_exactly_uncovered_for_extension(self):
-        partial = base_partial_set(14, 20)
+        partial = blueprint(14, 20).partial_set()
         rows, cols = free_block(14, 20)
         uncovered_in_block = sum(
             not partial.covers(i, k) for i in rows for k in cols
@@ -154,15 +153,15 @@ class TestBasePartialSet:
 
     def test_bounds(self):
         with pytest.raises(RangeError):
-            base_partial_set(12, 14)
+            blueprint(12, 14).partial_set()
         with pytest.raises(RangeError):
-            base_partial_set(13, 13)
+            blueprint(13, 13).partial_set()
 
     def test_merging_onto_a_covered_pair_conflicts(self):
         from bmwgroups.errors import ConflictingPairError
         from bmwgroups.structure import PartialStructureSet
 
-        partial = base_partial_set(13, 14)
+        partial = blueprint(13, 14).partial_set()
         clash = PartialStructureSet.from_squares(13, 14, [Square(1, 1, 1, 1)])
         with pytest.raises(ConflictingPairError):
             partial.merge(clash)

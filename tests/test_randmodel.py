@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import math
 import weakref
@@ -11,6 +12,7 @@ import pytest
 import bmwgroups.permgroup as permgroup
 import bmwgroups.randmodel as randmodel
 import bmwgroups.rng as rng_module
+from bmwgroups import formats
 from bmwgroups.errors import (
     ArityError,
     DegreeError,
@@ -19,7 +21,7 @@ from bmwgroups.errors import (
     TripleMatchingError,
     UsageError,
 )
-from bmwgroups.perm import FpfInvolution, Permutation, enumerate_fpf, pairing
+from bmwgroups.perm import FpfInvolution, Permutation, enumerate_fpf
 from bmwgroups.permgroup import PermutationGroup
 from bmwgroups.randmodel import (
     InvolutionTuple,
@@ -53,12 +55,14 @@ from .oracles import (
     match_statistic_by_pairings,
     midpoint_by_pairings,
     overlapping_matches_by_scan,
+    pairing,
     pairings,
     sample_tuple_by_scalar_loop,
     scalar_mc_values,
     structure_set_by_squares,
     triple_matchings_by_scan,
     white_ball_exists_by_bfs,
+    white_edges,
 )
 
 
@@ -67,7 +71,7 @@ def cyc(n, *cycles):
 
 
 def make_tuple(*perms):
-    return InvolutionTuple.from_images([p.images for p in perms])
+    return InvolutionTuple([p.images for p in perms])
 
 
 # The three-coordinate worked example on six points used throughout.
@@ -184,9 +188,9 @@ class TestBlockSampler:
 
 
 def _fault(images):
-    """The (error type, message) of ``InvolutionTuple.from_images``, or None."""
+    """The (error type, message) of ``InvolutionTuple(images)``, or None."""
     try:
-        InvolutionTuple.from_images(images)
+        InvolutionTuple(images)
     except Exception as exc:
         return type(exc), str(exc)
     return None
@@ -355,18 +359,18 @@ class TestMatchGraph:
     def test_example_colors(self):
         g = match_graph(EXAMPLE)
         assert g.black_edges() == ((1, 2), (3, 5))
-        assert g.white_edges() == ((1, 6), (2, 4), (3, 4), (4, 6), (5, 6))
+        assert white_edges(g) == ((1, 6), (2, 4), (3, 4), (4, 6), (5, 6))
 
     def test_single_coordinate_perfect_matching(self):
         g = match_graph(make_tuple(cyc(6, (1, 2), (3, 4), (5, 6))))
         assert g.black_edges() == ()
-        assert len(g.white_edges()) == 3
+        assert len(white_edges(g)) == 3
         assert not g.is_connected()
 
     def test_two_equal_entries_all_black(self):
         a = cyc(6, (1, 4), (2, 5), (3, 6))
         g = match_graph(make_tuple(a, a))
-        assert g.white_edges() == ()
+        assert white_edges(g) == ()
         assert len(g.black_edges()) == 3
 
     def test_match_statistic_example(self):
@@ -464,7 +468,7 @@ class TestCoincidenceTable:
             g = match_graph(tup)
             colours = edge_colours_by_pairings(tup)
             assert g.black_edges() == tuple(e for e, black in colours.items() if black)
-            assert g.white_edges() == tuple(e for e, black in colours.items() if not black)
+            assert white_edges(g) == tuple(e for e, black in colours.items() if not black)
             connected = g.is_connected()
             assert connected == match_graph_connected_by_bfs(tup)
             seen["connected" if connected else "disconnected"] += 1
@@ -716,11 +720,11 @@ def batch_front(tuples, piece=109, **kwargs):
 
 def overlapped_at_both_ends(t):
     """Whether, with no triple matching, some black edge has another black edge at each end."""
-    graph = match_graph(t)
-    at = collections.Counter(p for edge in graph.black_coords for p in edge)
-    return graph.triple_witness() is None and any(
-        at[k] >= 2 and at[l] >= 2 for k, l in graph.black_coords
-    )
+    if triple_matchings_by_scan(t) is not None:
+        return False
+    black = [edge for edge, is_black in edge_colours_by_pairings(t).items() if is_black]
+    at = collections.Counter(p for edge in black for p in edge)
+    return any(at[k] >= 2 and at[l] >= 2 for k, l in black)
 
 
 def component_sizes(t):
@@ -744,17 +748,17 @@ class TestBatchFront:
     """The certificate front over a (B, m, n) array against the per-tuple front."""
 
     def test_reports_equal_the_per_tuple_front(self, monkeypatch):
-        a_parts, calls = randmodel.MatchGraph._a_parts, []
+        a_parts, calls = randmodel._a_parts, []
 
-        def counted(graph):
-            calls.append(graph)
-            return a_parts(graph)
+        def counted(images, edges):
+            calls.extend(np.unique(edges[:, 0]).tolist())
+            return a_parts(images, edges)
 
         seen = collections.Counter()
         for m, n, trials in FRONT_SETS:
             tuples = front_tuples(m, n, trials)
             calls.clear()
-            monkeypatch.setattr(randmodel.MatchGraph, "_a_parts", counted)
+            monkeypatch.setattr(randmodel, "_a_parts", counted)
             reports = batch_front(tuples)
             monkeypatch.undo()
             assert reports == list(per_tuple_reports(m, n, trials)), (m, n)
@@ -809,13 +813,36 @@ class TestBatchFront:
                 certificates_by_tuple(tuples, randmodel.DEFAULT_BALL_RADIUS, order_guard=3)
             assert str(batch.value) == str(per_tuple.value)
         t = front_tuples(6, 200, 218)[0]
-        assert match_graph(t).triple_witness() is None
-        a_group = PermutationGroup._from_images0(6, match_graph(t)._a_parts().T - 1)
+        a_parts = structure_set_by_squares(t)._partners[..., 0]
+        a_group = PermutationGroup._from_images0(6, a_parts.T - 1)
         with pytest.raises(ResourceError) as by_parts:
             a_group.classify("auto", order_guard=3)
         with pytest.raises(ResourceError) as by_theorem:
             randmodel._symmetric_product(component_sizes(t)).classify("auto", order_guard=3)
         assert str(by_parts.value) == str(by_theorem.value)
+
+    def test_the_front_builds_no_match_graph(self, monkeypatch):
+        # sha256 of the documents as written before the match graph became
+        # the front's one-tuple case; 10 of the 30 trials overlap
+        expected = list(per_tuple_reports(4, 4, 0))
+
+        def refuse(self, t):
+            raise AssertionError("a match graph was built")
+
+        monkeypatch.setattr(randmodel.MatchGraph, "__init__", refuse)
+        assert batch_front(front_tuples(4, 4, 0)) == expected
+        result = monte_carlo("certificate_rates", 6, 200, 30, RngState(4))
+        docs = [formats.dumps(formats.estimate_document(result))]
+        root = RngState(7)
+        for t in range(3):
+            rep = irr_certificate(sample_tuple(6, 7778, root.derive(t)))
+            docs.append(formats.dumps(formats.report_document(rep)))
+        assert [hashlib.sha256(doc.encode()).hexdigest() for doc in docs] == [
+            "3729d98f4696aeed4c7ceff864bcc115f9502c95f44f82f59989f52b0a6f5be0",
+            "52bb1ce6b3c61c72427566c49b71b7deb171d31b81b69572c8fdcea34af8e935",
+            "38ae55dd5341fb99051cb383670e6c60d6d3b1bbc4ef0739d4b385a2e56db113",
+            "aea947b8fb0f95048c6841a25c9e26ec19c324d0a29294888a88dfe84de95886",
+        ]
 
     def test_monte_carlo_checks_each_piece_once(self, monkeypatch):
         expected = monte_carlo("certificate_rates", 6, 200, 30, RngState(4)).to_dict()

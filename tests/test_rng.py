@@ -142,7 +142,6 @@ def test_only_rng_names_the_stream_internals():
 DRAWS = {"randbelow", "randbelow_block", "randbelow_draft"}
 # (module, function) of every sampler; Jordan word letters are drawn in one
 SAMPLERS = {
-    ("perm.py", "random_fpf_images"),
     ("permgroup.py", "_word_element"),
     ("radu.py", "random_filler"),
     ("randmodel.py", "sample_tuple"),

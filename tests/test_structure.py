@@ -26,12 +26,9 @@ from bmwgroups.structure import (
     all_diagonal,
     canonical_form,
     census_counts,
-    complete_with_diagonal,
     complex_summary,
     count_up_to_relabeling,
     enumerate_structure_sets,
-    iter_structure_sets,
-    merge,
     presentation_text,
     relabel,
     validate,
@@ -42,6 +39,7 @@ from bmwgroups import structure
 from .oracles import (
     census_classes_by_orbit_bfs,
     census_count_by_enumeration,
+    iter_structure_sets,
     partner_table_fault,
     squares_by_unique,
     structure_set_tables_by_filter,
@@ -202,7 +200,7 @@ class TestLocalInvolutions:
         sets += [StructureSet(s.m, s.n, s.encoding()) for s in sets]
         sets += [structure_set_from_tuple(sample_tuple(2, 12, rng.derive(t))) for t in range(5)]
         sets += [radu.extension(13, 14), radu.extension(14, 16, radu.random_filler(14, 16, rng))]
-        sets += [radu.base_partial_set(13, 14).complete_with_diagonal()]
+        sets += [radu.blueprint(13, 14).partial_set().complete_with_diagonal()]
         sets += [
             PartialStructureSet.from_squares(4, 5, [(1, 1, 2, 3), (3, 2, 4, 2)]).complete_with_diagonal(),
             PartialStructureSet(3, 3, {(1, 1): (2, 2), (2, 2): (1, 1), (1, 2): (2, 1), (2, 1): (1, 2)})
@@ -390,7 +388,7 @@ class TestSquareView:
 
     @pytest.mark.parametrize("m,n", [(13, 14), (20, 40)])
     def test_base_partial_set_lists_no_free_cell(self, m, n):
-        partial = radu.base_partial_set(m, n)
+        partial = radu.blueprint(m, n).partial_set()
         self.assert_matches_oracle(partial)
         cells = [cell for sq in partial.to_squares() for cell in sq.cells()]
         assert len(cells) == len(set(cells)) == len(partial)
@@ -405,21 +403,21 @@ class TestSquareView:
 class TestPartialAndMerge:
     def test_merge_with_empty_is_identity(self):
         p = PartialStructureSet.from_squares(2, 2, [Square(1, 1, 2, 2)])
-        merged = merge(p, PartialStructureSet.empty(2, 2))
+        merged = p.merge(PartialStructureSet.empty(2, 2))
         assert merged.defined_cells() == p.defined_cells()
 
     def test_merge_conflict(self):
         p = PartialStructureSet.from_squares(2, 2, [Square(1, 1, 2, 2)])
         q = PartialStructureSet.from_squares(2, 2, [Square(1, 1, 1, 1)])
         with pytest.raises(ConflictingPairError):
-            merge(p, q)
+            p.merge(q)
 
     def test_complete_empty_gives_all_diagonal(self):
-        assert complete_with_diagonal(PartialStructureSet.empty(2, 2)) == all_diagonal(2, 2)
+        assert PartialStructureSet.empty(2, 2).complete_with_diagonal() == all_diagonal(2, 2)
 
     def test_completion_extends_without_changing(self):
         p = PartialStructureSet.from_squares(3, 3, [Square(1, 1, 2, 2)])
-        s = complete_with_diagonal(p)
+        s = p.complete_with_diagonal()
         for (i, k) in p.defined_cells():
             assert s.partner(i, k) == p.partner(i, k)
 
