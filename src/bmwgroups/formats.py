@@ -240,7 +240,7 @@ def structure_set_from_document(doc: dict) -> StructureSet:
     validate_document(doc)
     if doc["schema"] != SCHEMA_STRUCTURE_SET:
         raise UsageError(f"expected a {SCHEMA_STRUCTURE_SET} document")
-    return validate_squares(doc["m"], doc["n"], _plain(doc["squares"]))
+    return validate_squares(doc["m"], doc["n"], doc["squares"])
 
 
 # -- reports and estimates -------------------------------------------------------------

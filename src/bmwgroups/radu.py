@@ -5,16 +5,16 @@ of trees and their projections", 2020) is an involutive group of degree
 (4, 5) whose finite residual is exactly the index-4 type-preserving
 subgroup.  :func:`delta` returns its structure set.
 
-Around that seed, :func:`blueprint` lays out eleven index-range families
-of squares pinned to the boundary rows and columns, and its
-:meth:`~S0Blueprint.partial_set` is a partial (m, n)-structure set for
-m >= 13, n >= 14.  Every completion of the partial set has full
-symmetric local actions on both sides and simple type-preserving subgroup
-(by Radu's theorem plus the Burger-Mozes machinery); the rows 11..m-3 and
-columns 12..n-3 are left untouched, so completions can differ arbitrarily on
-that free block.  :func:`extension` lays the base partner table over one fill
-table: the diagonal everywhere, except that the free rows pair their columns
-by a chosen family of involutions on the free columns.
+Around that seed, :func:`blueprint` builds eleven index-range families of
+squares on the boundary rows and columns, each one array read off the outer
+involutions' images, and :meth:`~S0Blueprint.partial_set` places them in one
+scatter: a partial (m, n)-structure set for m >= 13, n >= 14.  Every
+completion of it has full symmetric local actions on both sides and simple
+type-preserving subgroup (by Radu's theorem plus the Burger-Mozes machinery);
+the rows 11..m-3 and columns 12..n-3 are left untouched, so completions can
+differ arbitrarily on that free block.  :func:`extension` lays the base
+partner table over one fill table: the diagonal everywhere, except that the
+free rows pair their columns by a chosen family of involutions on them.
 
 Everything here is a pure constructor; the generation and connectivity
 claims are machine-checked by the test suite rather than assumed.
@@ -25,12 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .errors import ConflictingPairError, DoublyCoveredPairError, RangeError
 from .perm import Permutation
 from .permgroup import SchreierAnalysis, schreier_analysis
 from .rng import RngState
 from .structure import PartialStructureSet, Square, StructureSet, validate
-from .structure import _first_cell, _frozen, _grid, _place
+from .structure import _canonical, _codes, _first_cell, _frozen, _grid, _place
 
 MIN_M = 13
 MIN_N = 14
@@ -51,53 +53,57 @@ _DELTA_SQUARES = (
 )
 
 
+# The a-side outer involutions as (head transpositions, first tail label);
+# the b side is the same shifted up by one label.
+_OUTER = ((((6, 9), (7, 10)), 11), (((6, 8), (7, 9)), 10), (((5, 8),), None))
+
+FAMILIES = (
+    "seed", "top_rows", "left_cols", "row4_diagonal", "mid_diagonal", "mixed_block",
+    "mid_rows", "mid_cols", "markers", "last_col_diagonal", "late_row_diagonal",
+)
+_ONCE = (1, 2, 5, 6, 7)  # families that skip a square any of them already holds
+
+
 def delta() -> StructureSet:
     """Radu's (4,5)-structure set; local actions are Sym(4) and Sym(5)."""
-    return validate(4, 5, [Square.canonical(i, k, j, l) for i, k, j, l in _DELTA_SQUARES])
+    return validate(4, 5, _DELTA_SQUARES)
 
 
-def _consecutive_pairs(start: int, top: int):
-    """(start, start+1), (start+2, start+3), ... while they fit below top."""
-    x = start
-    while x + 1 <= top:
-        yield (x, x + 1)
-        x += 2
+def _outer_images(side: str, d: int) -> np.ndarray:
+    """The outer involutions of ``side`` ("a" or "b") at degree d, as a ``(3, d)`` image array.
+
+    The tails pair consecutive labels up the interval, a leftover endpoint fixed.
+    """
+    name, low, shift = ("n", MIN_N, 1) if side == "b" else ("m", MIN_M, 0)
+    if d < low:
+        raise RangeError(f"{name} must be at least {low}")
+    images = np.tile(np.arange(1, d + 1), (3, 1))
+    for row, (heads, tail) in zip(images, _OUTER):
+        tails = np.arange(tail or d, d - shift, 2)[:, None] + (0, 1)
+        lo, hi = np.concatenate([heads, tails]).T + shift
+        row[lo - 1], row[hi - 1] = hi, lo
+    return images
+
+
+def _outer_involution(side: str, index: int, d: int) -> Permutation:
+    images = _outer_images(side, d)
+    if index not in (1, 2, 3):
+        raise RangeError("index must be 1, 2 or 3")
+    return Permutation._unchecked(tuple(images[index - 1].tolist()))
 
 
 def outer_b_involution(index: int, n: int) -> Permutation:
     """The three involutions on b-labels 6..n that generate Sym there.
 
-    Degree-n permutations fixing labels 1..5.  Head transpositions are
-    fixed; the tails continue as consecutive transpositions up the interval,
-    with a leftover endpoint fixed.  The generation property is verified by
-    the tests for both parities of n, not assumed.
+    Degree-n permutations fixing labels 1..5.  The generation property is
+    verified by the tests for both parities of n, not assumed.
     """
-    if n < MIN_N:
-        raise RangeError(f"n must be at least {MIN_N}")
-    if index == 1:
-        cycles = [(7, 10), (8, 11)] + list(_consecutive_pairs(12, n))
-    elif index == 2:
-        cycles = [(7, 9), (8, 10)] + list(_consecutive_pairs(11, n))
-    elif index == 3:
-        cycles = [(6, 9)]
-    else:
-        raise RangeError("index must be 1, 2 or 3")
-    return Permutation.from_cycles(n, cycles)
+    return _outer_involution("b", index, n)
 
 
 def outer_a_involution(index: int, m: int) -> Permutation:
     """The a-side counterpart on labels 5..m (degree-m, fixing 1..4)."""
-    if m < MIN_M:
-        raise RangeError(f"m must be at least {MIN_M}")
-    if index == 1:
-        cycles = [(6, 9), (7, 10)] + list(_consecutive_pairs(11, m))
-    elif index == 2:
-        cycles = [(6, 8), (7, 9)] + list(_consecutive_pairs(10, m))
-    elif index == 3:
-        cycles = [(5, 8)]
-    else:
-        raise RangeError("index must be 1, 2 or 3")
-    return Permutation.from_cycles(m, cycles)
+    return _outer_involution("a", index, m)
 
 
 class TaggedSquare(NamedTuple):
@@ -105,31 +111,41 @@ class TaggedSquare(NamedTuple):
     family: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class S0Blueprint:
-    """The eleven square families of the base partial set at (m, n)."""
+    """The eleven square families of the base partial set at (m, n): canonical
+    ``squares`` in placement order, row ``r`` in family ``names[family[r]]``."""
 
     m: int
     n: int
-    tagged: tuple[TaggedSquare, ...]
+    squares: np.ndarray
+    family: np.ndarray
+    names: tuple[str, ...]
 
-    def families(self) -> dict[str, tuple[Square, ...]]:
-        out: dict[str, list[Square]] = {}
-        for sq, fam in self.tagged:
-            out.setdefault(fam, []).append(sq)
-        return {fam: tuple(sorted(sqs)) for fam, sqs in out.items()}
+    @property
+    def tagged(self) -> tuple[TaggedSquare, ...]:
+        """The squares with their family names, in placement order."""
+        rows = zip(self.squares.tolist(), self.family.tolist())
+        return tuple(TaggedSquare(Square(*sq), self.names[f]) for sq, f in rows)
+
+    def families(self) -> dict[str, np.ndarray]:
+        """Each family's sorted ``(k, 4)`` square array, in order of first appearance."""
+        order = np.argsort(_codes(self.squares, self.m, self.n))
+        present = dict.fromkeys(self.family.tolist())
+        return {self.names[f]: self.squares[order[self.family[order] == f]] for f in present}
 
     def partial_set(self) -> PartialStructureSet:
         """All squares placed at once; a clash names the two squares' families."""
         try:
-            table = _place(self.m, self.n, [sq for sq, _ in self.tagged], partial=True)
+            table = _place(self.m, self.n, self.squares, partial=True)
         except DoublyCoveredPairError as err:
             # The first square through the pair placed it; the first later one
             # through it that is a different square is the clash.
-            (first, family), *later = [t for t in self.tagged if err.pair in t.square.cells()]
-            first = Square.canonical(*first)
-            clash = next(fam for sq, fam in later if Square.canonical(*sq) != first)
-            raise ConflictingPairError(err.pair, tags=(family, clash)) from None
+            (r, c), (i, k, j, l) = err.pair, self.squares.T
+            through = np.flatnonzero(((i == r) | (j == r)) & ((k == c) | (l == c)))
+            codes = _codes(_canonical(self.squares[through]), self.m, self.n)
+            first, clash = self.family[through[[0, (codes != codes[0]).argmax()]]]
+            raise ConflictingPairError(err.pair, tags=(self.names[first], self.names[clash])) from None
         return _frozen(PartialStructureSet, table)
 
     def extension(self, filler: Optional[Sequence[Permutation]] = None) -> StructureSet:
@@ -137,96 +153,79 @@ class S0Blueprint:
 
         The fill table is the diagonal, except that free row ``11 + r`` pairs
         column ``k`` with ``filler[r](k)``: one degree-n involution of the free
-        columns per free row.  With a filler, a base square on the free block
-        raises :class:`ConflictingPairError` at the first such cell.
+        columns per free row, checked as one stacked image array.  With a
+        filler, a base square on the free block raises
+        :class:`ConflictingPairError` at the first such cell.
         """
         rows, cols = free_block(self.m, self.n)
         base, fill = self.partial_set()._partners, _grid(self.m, self.n)
         if filler:
             if len(filler) != len(rows):
                 raise RangeError(f"filler must have one involution per free row ({len(rows)})")
-            for sigma in filler:
-                if sigma.degree != self.n:
+            points = np.arange(1, self.n + 1)
+            wrong = np.array([sigma.degree != self.n for sigma in filler])
+            images = np.array([points if w else sigma.images for sigma, w in zip(filler, wrong)])
+            not_involution = (np.take_along_axis(images, images - 1, axis=1) != points).any(axis=1)
+            free = (cols.start <= points) & (points < cols.stop)
+            outside = (images != points) & ~(free & free[images - 1])
+            faulty = wrong | not_involution | outside.any(axis=1)
+            if faulty.any():
+                r = int(faulty.argmax())
+                if wrong[r]:
                     raise RangeError("filler involutions must have degree n")
-                if not sigma.is_involution():
+                if not_involution[r]:
                     raise RangeError("filler entries must be involutions")
-                p = next((p for p in sigma.moved_points() if p not in cols or sigma(p) not in cols), 0)
-                if p:
-                    raise RangeError(f"filler involution moves {p} outside the free columns")
+                p = int(outside[r].argmax()) + 1
+                raise RangeError(f"filler involution moves {p} outside the free columns")
             r0, c0 = rows.start - 1, cols.start - 1
             covered = base[r0 : rows.stop - 1, c0 : cols.stop - 1, 0] > 0
             if covered.any():
                 i, k = _first_cell(covered)
                 raise ConflictingPairError((r0 + i, c0 + k))
-            fill[r0 : rows.stop - 1, :, 1] = [sigma.images for sigma in filler]
+            fill[r0 : rows.stop - 1, :, 1] = images
         fill[base > 0] = base[base > 0]
         return _frozen(StructureSet, fill)
 
 
+def _rows(*cols) -> np.ndarray:
+    """The broadcast index columns as the rows of one 2-D array, outer index first."""
+    out = np.empty(np.broadcast(*cols).shape + (len(cols),), dtype=np.int64)
+    for c, col in enumerate(cols):
+        out[..., c] = col
+    return out.reshape(-1, len(cols))
+
+
 def blueprint(m: int, n: int) -> S0Blueprint:
-    """Generate the tagged square families from their index-range definitions."""
-    if m < MIN_M:
-        raise RangeError(f"m must be at least {MIN_M}")
-    if n < MIN_N:
-        raise RangeError(f"n must be at least {MIN_N}")
-    alpha = {i: outer_b_involution(i, n) for i in (1, 2, 3)}
-    beta = {i: outer_a_involution(i, m) for i in (1, 2, 3)}
-    tagged: list[TaggedSquare] = []
+    """Generate the tagged square families from their index-range definitions.
 
-    def add(fam: str, i: int, k: int, j: int, l: int):
-        tagged.append(TaggedSquare(Square.canonical(i, k, j, l), fam))
-
-    for i, k, j, l in _DELTA_SQUARES:
-        add("seed", i, k, j, l)
-    seen: set[Square] = set()
-
-    def add_once(fam: str, i: int, k: int, j: int, l: int):
-        sq = Square.canonical(i, k, j, l)
-        if sq not in seen:
-            seen.add(sq)
-            tagged.append(TaggedSquare(sq, fam))
-
-    # rows 1..3 paired along the outer b-involutions
-    for i in (1, 2, 3):
-        for k in range(6, n + 1):
-            add_once("top_rows", i, k, i, alpha[i](k))
-    # columns 1..3 paired along the outer a-involutions
-    for k in (1, 2, 3):
-        for i in range(5, m + 1):
-            add_once("left_cols", i, k, beta[k](i), k)
-    # row 4 diagonals on columns 6..8
-    for k in (6, 7, 8):
-        add("row4_diagonal", 4, k, 4, k)
-    # diagonals on rows 5..7, columns 4..5
-    for i in (5, 6, 7):
-        for k in (4, 5):
-            add("mid_diagonal", i, k, i, k)
-    # the fully mixed 3x3 block
-    for i in (5, 6, 7):
-        for k in (6, 7, 8):
-            add_once("mixed_block", i, k, beta[k - 5](i), alpha[i - 4](k))
-    # rows 5..7 paired along the b-involutions, past the mixed block
-    for i in (5, 6, 7):
-        for k in range(9, n + 1):
-            if alpha[i - 4](k) > 8:
-                add_once("mid_rows", i, k, i, alpha[i - 4](k))
-    # columns 6..8 paired along the a-involutions, below the mixed block
-    for k in (6, 7, 8):
-        for i in range(8, m + 1):
-            if beta[k - 5](i) > 7:
-                add_once("mid_cols", i, k, beta[k - 5](i), k)
-    # the two marker squares tying the last rows/columns in
-    add("markers", 4, n, m, n - 1)
-    add("markers", m - 2, 4, m - 1, n - 2)
-    # diagonals on the last two columns
-    for i in range(8, m):
-        add("last_col_diagonal", i, n, i, n)
-        add("last_col_diagonal", i, n - 1, i, n - 1)
-    # diagonals on the last interior rows
-    for k in range(9, n - 2):
-        add("late_row_diagonal", m - 1, k, m - 1, k)
-        add("late_row_diagonal", m - 2, k, m - 2, k)
-    return S0Blueprint(m, n, tuple(tagged))
+    Each family is one array of squares read from the outer involutions'
+    images; a square of a once-family that an earlier once-family square
+    already holds is dropped.
+    """
+    beta, alpha = _outer_images("a", m) - 1, _outer_images("b", n) - 1  # 0-based images
+    r3, c3 = np.arange(3)[:, None], np.arange(3)[None, :]  # outer-major 3x3 index grids
+    mid_l, mid_j = alpha[:, 8:], beta[:, 7:]  # images of columns 9..n and rows 8..m
+    parts = [  # 0-based; diagonal squares (i, k, i, k) tile their cells (i, k)
+        np.array(_DELTA_SQUARES) - 1,
+        _rows(r3, np.arange(5, n), r3, alpha[:, 5:]),  # rows 1..3 along the outer b-involutions
+        _rows(np.arange(4, m), r3, beta[:, 4:], r3),  # columns 1..3 along the outer a-involutions
+        np.tile(_rows(3, np.arange(5, 8)), 2),  # row 4 diagonals on columns 6..8
+        np.tile(_rows(r3 + 4, c3[:, :2] + 3), 2),  # diagonals on rows 5..7, columns 4..5
+        _rows(r3 + 4, c3 + 5, beta[c3, r3 + 4], alpha[r3, c3 + 5]),  # the mixed 3x3 block
+        _rows(r3 + 4, np.arange(8, n), r3 + 4, mid_l)[mid_l.ravel() > 7],  # rows 5..7, right of it
+        _rows(np.arange(7, m), r3 + 5, mid_j, r3 + 5)[mid_j.ravel() > 6],  # columns 6..8, below it
+        np.array([(3, n - 1, m - 1, n - 2), (m - 3, 3, m - 2, n - 3)]),  # the two markers
+        np.tile(_rows(np.arange(7, m - 1)[:, None], [n - 1, n - 2]), 2),  # the last two columns
+        np.tile(_rows([m - 2, m - 3], np.arange(8, n - 3)[:, None]), 2),  # the last interior rows
+    ]
+    squares = _canonical(np.concatenate(parts) + 1)
+    family = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    # a once-family square keeps its first occurrence; every other square is its own code
+    codes = np.where(np.isin(family, _ONCE), _codes(squares, m, n), -1 - np.arange(len(family)))
+    keep = np.sort(np.unique(codes, return_index=True)[1])
+    squares, family = squares[keep], family[keep]
+    squares.flags.writeable = family.flags.writeable = False
+    return S0Blueprint(m, n, squares, family, FAMILIES)
 
 
 def free_block(m: int, n: int) -> tuple[range, range]:
@@ -277,9 +276,7 @@ class ClaimCheck(NamedTuple):
 
 def schreier_claim_check(n: int) -> ClaimCheck:
     """Check the outer b-involutions' Schreier graph on labels 6..n."""
-    if n < MIN_N:
-        raise RangeError(f"n must be at least {MIN_N}")
-    gens = [outer_b_involution(i, n) for i in (1, 2, 3)]
+    gens = [Permutation._unchecked(tuple(row)) for row in _outer_images("b", n).tolist()]
     analysis = schreier_analysis(gens, range(6, n + 1))
     odd_walk = (not analysis.bipartite) or bool(analysis.loops)
     return ClaimCheck(analysis.connected, odd_walk, analysis)

@@ -16,7 +16,9 @@ derived view.  The opposite-corner pairing is forced by the square: the
 partner of ``(a_i, b_k)`` inside ``{a_i, b_k, a_j, b_l}`` is (other a-label,
 other b-label), including the degenerate cases with repeated labels.  A
 partial structure set has the same array with ``(0, 0)`` on its free cells;
-local involutions, relabeling and transposition are slices and indexing.
+local involutions, relabeling and transposition are slices and indexing.  A
+square list is placed as one ``(s, 4)`` array: the earliest square through
+each cell is found at once, and one scatter writes the partner table.
 
 The census counts structure sets without listing them.  The count is a
 memoized dynamic program over the bitmask of covered cells: the lowest free
@@ -155,39 +157,60 @@ def _check_laws(table: np.ndarray, defined: Optional[np.ndarray] = None) -> None
     raise DegreeError(f"{what} table violates the square-swap law")
 
 
+def _canonical(squares: np.ndarray) -> np.ndarray:
+    """Each ``(i, k, j, l)`` row as ``(min(i, j), min(k, l), max(i, j), max(k, l))``."""
+    return np.sort(squares.reshape(-1, 2, 2), axis=1).reshape(-1, 4)
+
+
+def _codes(squares: np.ndarray, m: int, n: int) -> np.ndarray:
+    """One integer per square in range, increasing in lexicographic order."""
+    return squares @ np.array([(n + 1) ** 2 * (m + 1), (n + 1) * (m + 1), n + 1, 1])
+
+
 def _place(m: int, n: int, squares: Iterable[Sequence[int]], partial: bool) -> np.ndarray:
-    """The partner table (0 on free cells) covered by ``squares``, in order.
+    """The partner table (0 on free cells) covered by the ``(s, 4)`` ``squares``.
 
     Square ``{i, j} x {k, l}`` pairs ``(i, k)`` with ``(j, l)`` and ``(i, l)``
-    with ``(j, k)``.  A square meeting a covered cell raises
-    :class:`DoublyCoveredPairError` at the first such corner, unless the table
-    is ``partial`` and the same square is already there.  ``partial`` also
-    selects the partial-set message for a square out of range.
+    with ``(j, k)``.  The first faulty square in order raises: out of range,
+    :class:`IndexOutOfRangeError` (``partial`` selects the message); meeting a
+    cell an earlier square covers, :class:`DoublyCoveredPairError` at its first
+    such corner of (i,k), (i,l), (j,k), (j,l), unless the table is ``partial``
+    and that square is the same.  One scatter writes the table.
     """
     m, n = _degrees(m, n)
-    a_part, b_part = [0] * (m * n), [0] * (m * n)  # row-major partner halves
-    for raw in squares:
-        i, k, j, l = (int(v) for v in raw)
-        a_ok, b_ok = 1 <= i <= m and 1 <= j <= m, 1 <= k <= n and 1 <= l <= n
-        if partial and not (a_ok and b_ok):
-            raise IndexOutOfRangeError(f"square {tuple(raw)} out of range")
-        if not a_ok:
-            raise IndexOutOfRangeError(f"a-index of {tuple(raw)} outside 1..{m}")
-        if not b_ok:
-            raise IndexOutOfRangeError(f"b-index of {tuple(raw)} outside 1..{n}")
-        i, k, j, l = Square.canonical(i, k, j, l)
-        corners = ((i, k, j, l), (i, l, j, k), (j, k, i, l), (j, l, i, k))
-        cells = [(x - 1) * n + y - 1 for x, y, _, _ in corners]
-        covered = [c for c in cells if a_part[c]]
-        if covered:
-            held = [(a_part[c], b_part[c]) for c in cells]
-            if partial and held == [(x, y) for _, _, x, y in corners]:
-                continue
-            row, col = divmod(covered[0], n)
-            raise DoublyCoveredPairError((row + 1, col + 1))
-        for c, (_, _, x, y) in zip(cells, corners):
-            a_part[c], b_part[c] = x, y
-    return np.stack([a_part, b_part], axis=-1).reshape(m, n, 2)
+    rows = squares if isinstance(squares, np.ndarray) else list(squares)
+    try:
+        raw = np.array(rows, dtype=np.int64)
+    except OverflowError:  # an index past int64 is out of range, reported as given
+        raw = np.array(rows, dtype=object)
+    if raw.shape != (0,) and raw.shape[1:] != (4,):
+        raise ValueError("each square must be 4 integers")
+    raw = raw.reshape(-1, 4)
+    a_ok = ((1 <= raw[:, ::2]) & (raw[:, ::2] <= m)).all(axis=1)
+    in_range = a_ok & ((1 <= raw[:, 1::2]) & (raw[:, 1::2] <= n)).all(axis=1)
+    s = len(raw) if in_range.all() else int(in_range.argmin())
+    sq = _canonical(np.asarray(raw[:s], dtype=np.int64))
+    i, k, j, l = sq.T - 1
+    cells = np.stack([i * n + k, i * n + l, j * n + k, j * n + l], axis=1)
+    order = np.arange(s)[:, None]
+    first = np.full(m * n, s)
+    np.minimum.at(first, cells, order)
+    owner, codes = first[cells], _codes(sq, m, n)
+    clash = (owner < order) & ((codes[owner] != codes[:, None]) | (not partial))
+    if clash.any():
+        p = int(clash.any(axis=1).argmax())
+        row, col = divmod(int(cells[p, clash[p].argmax()]), n)
+        raise DoublyCoveredPairError((row + 1, col + 1))
+    if s < len(raw):
+        at = tuple(raw[s].tolist())
+        if partial:
+            raise IndexOutOfRangeError(f"square {at} out of range")
+        if not a_ok[s]:
+            raise IndexOutOfRangeError(f"a-index of {at} outside 1..{m}")
+        raise IndexOutOfRangeError(f"b-index of {at} outside 1..{n}")
+    table = np.zeros((m * n, 2), dtype=np.int64)
+    table[cells] = np.stack([sq[:, 2:], sq[:, [2, 1]], sq[:, [0, 3]], sq[:, :2]], axis=1)
+    return table.reshape(m, n, 2)
 
 
 def _squares(table: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ and one ``randbelow`` call per letter instead of the array group layer's
 pointer doubling, label hooking and block-drawn Jordan words, one word
 loop per group instead of words shared on a block-diagonal stack, an
 ``np.unique`` over every covered cell instead of the low-corner square
-view, and the square-and-merge completion instead of the s0 fill table.
+view, the square-and-merge completion instead of the s0 fill table, and
+the s0 blueprint and its placement one square at a time, from the outer
+involutions' cycles, instead of family arrays and one scatter.
 
 Some reference paths live only here: the scalar fixed-point-free sampler
 (one ``randbelow`` call per step, the semantics every library sampler
@@ -38,6 +40,7 @@ import numpy as np
 from bmwgroups.errors import (
     ArityError,
     DegreeError,
+    DoublyCoveredPairError,
     IndexOutOfRangeError,
     TripleMatchingError,
 )
@@ -49,7 +52,7 @@ from bmwgroups.permgroup import (
     _classify_groups,
     _mark_transitive,
 )
-from bmwgroups.radu import blueprint, free_block
+from bmwgroups.radu import _DELTA_SQUARES, TaggedSquare, free_block
 from bmwgroups.randmodel import (
     CertificateReport,
     InvolutionTuple,
@@ -462,10 +465,133 @@ def squares_by_unique(s):
     return tuple(Square(*sq) for sq in np.unique(corners, axis=0).tolist())
 
 
+def outer_involution_by_cycles(side, index, d):
+    """An outer involution of ``side`` "a" or "b" at degree ``d``, from its cycles.
+
+    The head transpositions are listed; the tail pairs consecutive labels
+    from its first label upward while both fit, leaving a last odd label fixed.
+    """
+    heads, tail = {
+        ("a", 1): ([(6, 9), (7, 10)], 11),
+        ("a", 2): ([(6, 8), (7, 9)], 10),
+        ("a", 3): ([(5, 8)], d),
+        ("b", 1): ([(7, 10), (8, 11)], 12),
+        ("b", 2): ([(7, 9), (8, 10)], 11),
+        ("b", 3): ([(6, 9)], d),
+    }[side, index]
+    cycles = list(heads)
+    x = tail
+    while x + 1 <= d:
+        cycles.append((x, x + 1))
+        x += 2
+    return Permutation.from_cycles(d, cycles)
+
+
+def blueprint_by_loop(m, n):
+    """The s0 blueprint's tagged squares, one square at a time.
+
+    Each family walks its index range and appends canonical squares; the
+    "once" families skip a square any of them already listed.
+    """
+    alpha = {i: outer_involution_by_cycles("b", i, n) for i in (1, 2, 3)}
+    beta = {i: outer_involution_by_cycles("a", i, m) for i in (1, 2, 3)}
+    tagged = []
+
+    def add(fam, i, k, j, l):
+        tagged.append(TaggedSquare(Square.canonical(i, k, j, l), fam))
+
+    for i, k, j, l in _DELTA_SQUARES:
+        add("seed", i, k, j, l)
+    seen = set()
+
+    def add_once(fam, i, k, j, l):
+        sq = Square.canonical(i, k, j, l)
+        if sq not in seen:
+            seen.add(sq)
+            tagged.append(TaggedSquare(sq, fam))
+
+    for i in (1, 2, 3):
+        for k in range(6, n + 1):
+            add_once("top_rows", i, k, i, alpha[i](k))
+    for k in (1, 2, 3):
+        for i in range(5, m + 1):
+            add_once("left_cols", i, k, beta[k](i), k)
+    for k in (6, 7, 8):
+        add("row4_diagonal", 4, k, 4, k)
+    for i in (5, 6, 7):
+        for k in (4, 5):
+            add("mid_diagonal", i, k, i, k)
+    for i in (5, 6, 7):
+        for k in (6, 7, 8):
+            add_once("mixed_block", i, k, beta[k - 5](i), alpha[i - 4](k))
+    for i in (5, 6, 7):
+        for k in range(9, n + 1):
+            if alpha[i - 4](k) > 8:
+                add_once("mid_rows", i, k, i, alpha[i - 4](k))
+    for k in (6, 7, 8):
+        for i in range(8, m + 1):
+            if beta[k - 5](i) > 7:
+                add_once("mid_cols", i, k, beta[k - 5](i), k)
+    add("markers", 4, n, m, n - 1)
+    add("markers", m - 2, 4, m - 1, n - 2)
+    for i in range(8, m):
+        add("last_col_diagonal", i, n, i, n)
+        add("last_col_diagonal", i, n - 1, i, n - 1)
+    for k in range(9, n - 2):
+        add("late_row_diagonal", m - 1, k, m - 1, k)
+        add("late_row_diagonal", m - 2, k, m - 2, k)
+    return tuple(tagged)
+
+
+def families_by_loop(tagged):
+    """Each family's squares, sorted, in the order the families first appear."""
+    out = {}
+    for sq, fam in tagged:
+        out.setdefault(fam, []).append(sq)
+    return {fam: sorted(sqs) for fam, sqs in out.items()}
+
+
+def place_by_loop(m, n, squares, partial):
+    """The partner table (0 on free cells) covered by ``squares``, one square at a time.
+
+    Each square is range-checked, canonicalized and written corner by corner;
+    a square meeting a covered cell raises at its first covered corner, in
+    the order (i,k), (i,l), (j,k), (j,l), unless the table is ``partial`` and
+    the same square is already there.
+    """
+    if m < 1 or n < 1:
+        raise DegreeError("m and n must be positive")
+    a_part, b_part = [0] * (m * n), [0] * (m * n)  # row-major partner halves
+    for raw in squares:
+        i, k, j, l = (int(v) for v in raw)
+        a_ok, b_ok = 1 <= i <= m and 1 <= j <= m, 1 <= k <= n and 1 <= l <= n
+        if partial and not (a_ok and b_ok):
+            raise IndexOutOfRangeError(f"square {tuple(raw)} out of range")
+        if not a_ok:
+            raise IndexOutOfRangeError(f"a-index of {tuple(raw)} outside 1..{m}")
+        if not b_ok:
+            raise IndexOutOfRangeError(f"b-index of {tuple(raw)} outside 1..{n}")
+        i, k, j, l = min(i, j), min(k, l), max(i, j), max(k, l)
+        corners = ((i, k, j, l), (i, l, j, k), (j, k, i, l), (j, l, i, k))
+        cells = [(x - 1) * n + y - 1 for x, y, _, _ in corners]
+        covered = [c for c in cells if a_part[c]]
+        if covered:
+            held = [(a_part[c], b_part[c]) for c in cells]
+            if partial and held == [(x, y) for _, _, x, y in corners]:
+                continue
+            row, col = divmod(covered[0], n)
+            raise DoublyCoveredPairError((row + 1, col + 1))
+        for c, (_, _, x, y) in zip(cells, corners):
+            a_part[c], b_part[c] = x, y
+    return np.stack([a_part, b_part], axis=-1).reshape(m, n, 2)
+
+
 def extension_by_merge(m, n, filler=None):
-    """The s0 extension by squares: the blueprint's squares, merged with one
-    square per filler pair, then completed with diagonal squares."""
-    base = PartialStructureSet.from_squares(m, n, [sq for sq, _ in blueprint(m, n).tagged])
+    """The s0 extension by squares: the looped blueprint's squares placed one at
+    a time, merged with one square per filler pair, then completed with
+    diagonal squares."""
+    squares = [sq for sq, _ in blueprint_by_loop(m, n)]
+    base = _frozen(PartialStructureSet, place_by_loop(m, n, squares, partial=True))
     if filler:
         rows, cols = free_block(m, n)
         squares = [
@@ -474,7 +600,7 @@ def extension_by_merge(m, n, filler=None):
             for k in cols
             if k <= sigma(k)
         ]
-        base = base.merge(PartialStructureSet.from_squares(m, n, squares))
+        base = base.merge(_frozen(PartialStructureSet, place_by_loop(m, n, squares, partial=True)))
     return base.complete_with_diagonal()
 
 
@@ -584,8 +710,13 @@ def sample_tuple_by_scalar_loop(m, n, rng):
 
 
 def pairings(t):
-    """The 2-point orbits of each coordinate of ``t`` as sorted pairs."""
-    return tuple(pairing(e) for e in t.entries)
+    """The 2-point orbits of each coordinate of ``t`` as sorted pairs.
+
+    The rows are read once, as plain lists; the tuple checked them already.
+    """
+    return tuple(
+        frozenset((i + 1, v) for i, v in enumerate(row) if i + 1 < v) for row in t.images.tolist()
+    )
 
 
 def edge_colours_by_pairings(t):
@@ -646,7 +777,7 @@ def triple_matchings_by_scan(t):
     """
     if t.m < 3:
         return None
-    images = [e.images for e in t.entries]
+    images = t.images.tolist()
     for k in range(1, t.n + 1):
         hits = {}
         for idx, img in enumerate(images, 1):
@@ -666,7 +797,7 @@ def overlapping_matches_by_scan(t):
     """First point where two distinct coordinate pairs agree, by a point scan."""
     if t.m < 2:
         return None
-    images = [e.images for e in t.entries]
+    images = t.images.tolist()
     for k in range(1, t.n + 1):
         hits = {}
         for idx, img in enumerate(images, 1):
@@ -720,7 +851,7 @@ def structure_set_by_squares(t):
     if witness is not None:
         raise TripleMatchingError(witness)
     squares = []
-    images = [e.images for e in t.entries]
+    images = t.images.tolist()
     for k in range(1, t.n + 1):
         groups = {}
         for idx in range(1, t.m + 1):

@@ -474,6 +474,15 @@ class TestS0:
             "fe6e37d8bcdcdfbfb8929a6a6889f50b64a5db436f7ec6337084c7e95dfe13d9"
         )
 
+    def test_odd_size_verify_bytes_pinned(self, capsys):
+        # odd m and n: the outer involutions' tails end on a fixed leftover endpoint
+        code, out, err = run(capsys, "s0", "--m", "33", "--n", "61", "--verify")
+        assert code == 0
+        assert len([ln for ln in err.splitlines() if ln.endswith(": pass")]) == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1103e5b52c434c353f4c07c5b6165a64fe107566f00155046ea7758e8a8f44c9"
+        )
+
     def test_filled_large_verify_bytes_pinned(self, capsys):
         # a filled (100, 200) block: the B-side theorem route needs primitivity at degree 200
         code, out, err = run(

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bmwgroups import formats
@@ -22,11 +23,24 @@ from bmwgroups.radu import (
 from bmwgroups.rng import RngState
 from bmwgroups.structure import Square, validate
 
-from .oracles import extension_by_merge, restricted
+from .oracles import (
+    blueprint_by_loop,
+    extension_by_merge,
+    families_by_loop,
+    outer_involution_by_cycles,
+    restricted,
+)
 
 
 def cyc(n, *cycles):
     return Permutation.from_cycles(n, cycles)
+
+
+def with_square(bp, square, family):
+    """``bp`` with ``square`` placed last, tagged ``family``."""
+    names = bp.names if family in bp.names else bp.names + (family,)
+    rows = np.vstack([bp.squares, [square]])
+    return S0Blueprint(bp.m, bp.n, rows, np.append(bp.family, names.index(family)), names)
 
 
 class TestDelta:
@@ -169,23 +183,45 @@ class TestBasePartialSet:
 
 class TestBlueprintConflicts:
     def test_tagged_conflict_names_both_families(self):
-        from bmwgroups.errors import ConflictingPairError
-        from bmwgroups.radu import S0Blueprint, TaggedSquare
-
         bp = blueprint(13, 14)
-        clash = TaggedSquare(Square(1, 1, 1, 2), "clash")
+        clashing = with_square(bp, Square(1, 1, 1, 2), "clash")
+        assert clashing.tagged == bp.tagged + (TaggedSquare(Square(1, 1, 1, 2), "clash"),)
         with pytest.raises(ConflictingPairError) as err:
-            S0Blueprint(13, 14, bp.tagged + (clash,)).partial_set()
+            clashing.partial_set()
         assert err.value.pair == (1, 1)
         assert err.value.tags == ("seed", "clash")
 
     def test_identical_seed_square_accepted(self):
-        from bmwgroups.radu import S0Blueprint, TaggedSquare
-
         bp = blueprint(13, 14)
-        again = TaggedSquare(Square(1, 1, 1, 1), "seed")
-        partial = S0Blueprint(13, 14, bp.tagged + (again,)).partial_set()
+        again = with_square(bp, Square(1, 1, 1, 1), "seed")
+        assert again.tagged == bp.tagged + (TaggedSquare(Square(1, 1, 1, 1), "seed"),)
+        partial = again.partial_set()
         assert partial.to_squares() == bp.partial_set().to_squares()
+
+
+class TestBlueprintArrays:
+    @pytest.mark.parametrize("m", range(13, 21))
+    def test_tagged_and_families_equal_the_square_loop(self, m):
+        for n in range(14, 41):
+            bp, tagged = blueprint(m, n), blueprint_by_loop(m, n)
+            assert bp.tagged == tagged
+            families = bp.families()
+            expected = families_by_loop(tagged)
+            assert list(families) == list(expected)
+            for fam, squares in families.items():
+                assert squares.shape == (len(expected[fam]), 4)
+                assert squares.tolist() == [list(sq) for sq in expected[fam]]
+
+    def test_arrays_are_read_only(self):
+        bp = blueprint(13, 14)
+        assert not bp.squares.flags.writeable and not bp.family.flags.writeable
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_outer_involutions_equal_their_cycles(self, side):
+        outer = outer_a_involution if side == "a" else outer_b_involution
+        for d in range(14, 62):
+            for i in (1, 2, 3):
+                assert outer(i, d) == outer_involution_by_cycles(side, i, d)
 
 
 class TestExtension:
@@ -241,12 +277,28 @@ class TestExtension:
             extension(14, 20, [cyc(20, (12, 13, 14))])
 
     def test_base_covering_the_free_block_conflicts_with_a_filler(self):
-        bp = blueprint(14, 20)
-        clash = TaggedSquare(Square(11, 12, 11, 12), "clash")
+        bp = with_square(blueprint(14, 20), Square(11, 12, 11, 12), "clash")
         sigma = cyc(20, (12, 13), (14, 16))
         with pytest.raises(ConflictingPairError) as err:
-            S0Blueprint(14, 20, bp.tagged + (clash,)).extension([sigma])
+            bp.extension([sigma])
         assert err.value.pair == (11, 12)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([(21, ()), (20, ((12, 13, 14),))], "degree n"),
+            ([(20, ((12, 13, 14),)), (21, ())], "must be involutions"),
+            ([(20, ((12, 13), (1, 2))), (21, ())], "moves 1 outside"),
+            ([(20, ((12, 13),)), (20, ((13, 18),))], "moves 13 outside"),
+            ([(20, ((12, 13),)), (20, ((5, 14),))], "moves 5 outside"),
+        ],
+    )
+    def test_first_faulty_filler_row_decides(self, rows, message):
+        # free rows 11 and 12, free columns 12..17: the first faulty row raises
+        # its first fault, in the order degree, involution, columns
+        filler = [cyc(d, *cycles) for d, cycles in rows]
+        with pytest.raises(RangeError, match=message):
+            extension(15, 20, filler)
 
     @pytest.mark.parametrize("m", range(13, 17))
     def test_fill_table_equals_the_merged_squares(self, m):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from .oracles import (
     census_count_by_enumeration,
     iter_structure_sets,
     partner_table_fault,
+    place_by_loop,
     squares_by_unique,
     structure_set_tables_by_filter,
 )
@@ -109,6 +111,68 @@ class TestValidate:
                 j, l = s.partner(i, k)
                 assert s.partner(j, l) == (i, k)
                 assert s.partner(i, l) == (j, k)
+
+
+def _placement(m, n, squares, partial, place):
+    """The table ``place`` builds, or the class, pair and message it raises."""
+    try:
+        return place(m, n, squares, partial).tolist()
+    except Exception as exc:  # the oracle decides which exceptions are right
+        return type(exc), getattr(exc, "pair", None), str(exc)
+
+
+def _random_squares(m, n, rnd):
+    """Up to 8 squares: repeats, degenerate, out-of-range and arbitrary ones."""
+    squares = []
+    for _ in range(rnd.randint(0, 8)):
+        i, k, kind = rnd.randint(1, m), rnd.randint(1, n), rnd.random()
+        if kind < 0.15 and squares:
+            squares.append(list(rnd.choice(squares)))
+        elif kind < 0.25:
+            squares.append([rnd.randint(0, d + 1) for d in (m, n, m, n)])
+        elif kind < 0.35:
+            squares.append([i, k, i, k])
+        elif kind < 0.45:
+            squares.append([i, k, i, rnd.randint(1, n)])
+        else:
+            squares.append([i, k, rnd.randint(1, m), rnd.randint(1, n)])
+    return squares
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_array_placement_equals_the_square_loop(self, seed):
+        rnd = random.Random(seed)
+        outcomes = set()
+        for _ in range(600):
+            m, n = rnd.randint(1, 5), rnd.randint(1, 5)
+            squares = _random_squares(m, n, rnd)
+            for partial in (False, True):
+                got = _placement(m, n, squares, partial, structure._place)
+                assert got == _placement(m, n, squares, partial, place_by_loop), (m, n, squares, partial)
+                array = np.array(squares, dtype=np.int64).reshape(-1, 4)
+                assert _placement(m, n, array, partial, structure._place) == got
+                outcomes.add(got[0] if isinstance(got, tuple) else "table")
+        assert outcomes == {"table", DoublyCoveredPairError, IndexOutOfRangeError}
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_empty_list_places_nothing(self, partial):
+        assert not structure._place(3, 4, [], partial).any()
+        expected = _placement(3, 4, [], partial, place_by_loop)
+        assert _placement(3, 4, [], partial, structure._place) == expected
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_an_index_past_int64_is_out_of_range(self, partial):
+        squares = [[1, 1, 1, 1], [1, 2, 1, 10**30]]
+        got = _placement(2, 2, squares, partial, structure._place)
+        assert got == _placement(2, 2, squares, partial, place_by_loop)
+        assert got[0] is IndexOutOfRangeError
+
+    @pytest.mark.parametrize("row", [[1, 1, 1], [1, 1, 1, 1, 1], [1, 1, 1, None]])
+    def test_a_row_that_is_not_four_integers_is_refused(self, row):
+        squares = [[1, 2, 1, 2], row]
+        got = _placement(2, 2, squares, True, structure._place)
+        assert got[0] is _placement(2, 2, squares, True, place_by_loop)[0]
 
 
 class TestCheckedConstructor:
