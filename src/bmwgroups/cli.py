@@ -20,6 +20,7 @@ overridden with the environment variables ``BMWGROUPS_CENSUS_GUARD``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -192,7 +193,9 @@ def cmd_mc(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="bmwgroups",
         description="Structure sets of involutive BMW groups: sampling, certificates, censuses.",

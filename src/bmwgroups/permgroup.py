@@ -127,10 +127,10 @@ def _cycles(img0: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     ceil(log2 span) rounds cover every cycle.
     """
     points = np.arange(len(img0))
-    labels, jump = points, img0
+    labels, jump = points.copy(), img0
     for _ in range((span - 1).bit_length()):
-        labels = np.minimum(labels, labels[jump])
-        jump = jump[jump]
+        np.minimum(labels, labels.take(jump), out=labels)
+        jump = jump.take(jump)
     minima = np.flatnonzero(labels == points)
     return minima, np.bincount(labels)[minima]
 
@@ -155,6 +155,12 @@ def _isolated_prime(lengths: np.ndarray, degree: int) -> Optional[int]:
         ):
             return p
     return None
+
+
+def _involution_rows(gens: np.ndarray) -> list[bool]:
+    """Whether each row of a (k, d) 0-based image array is an involution."""
+    squares = np.take_along_axis(gens, gens, axis=1)
+    return (squares == np.arange(gens.shape[1])).all(axis=1).tolist()
 
 
 def _orbit_labels(gens: np.ndarray) -> np.ndarray:
@@ -478,17 +484,33 @@ class PermutationGroup:
 
     # -- alternating-group recognition --------------------------------------------
 
-    def _word_element(self, rng: RngState, max_word_len: int) -> np.ndarray:
+    def _word_element(
+        self, rng: RngState, max_word_len: int, involutions: Optional[list[bool]] = None
+    ) -> np.ndarray:
         """A random word in the generators, as its 0-based image array.
 
         The word takes ``1 + randbelow(max_word_len)`` letters, each
         ``randbelow(k)``, drawn by one
         :meth:`~bmwgroups.rng.RngState.randbelow_block`, and is their product
-        from the first letter on.
+        from the first letter on.  Adjacent equal letters whose generator is
+        an involution cancel on a stack before anything is composed, so the
+        product is the same with fewer compositions, and a word that cancels
+        whole is the identity.  ``involutions`` flags such rows; without it
+        every row is tested.  A flag may be False for an involution, which
+        only leaves its letters uncancelled.
         """
         gens = self.images0
+        if involutions is None:
+            involutions = _involution_rows(gens)
         length = 1 + rng.randbelow(max_word_len)
-        letters = rng.randbelow_block(np.full(length, len(gens))).tolist()
+        letters: list[int] = []
+        for i in rng.randbelow_block(np.full(length, len(gens))).tolist():
+            if letters and letters[-1] == i and involutions[i]:
+                letters.pop()
+            else:
+                letters.append(i)
+        if not letters:
+            return np.arange(self.degree)
         cur = gens[letters[0]]
         for i in letters[1:]:
             cur = gens[i].take(cur)
@@ -706,7 +728,8 @@ def _jordan_words(
     once none is left.  A block's flag for a smaller p is set from
     :func:`_isolated_prime` on its cycles while it is unset, and matters
     only once the words are spent: then :meth:`PermutationGroup.is_primitive`
-    decides.
+    decides.  The involution flags come from the first stack: a row that
+    is an involution in every block is one in every sub-stack.
     """
     d = groups[0].degree
     sieve = np.ones(d + 1, dtype=bool)
@@ -718,8 +741,9 @@ def _jordan_words(
     small = np.zeros(len(groups), dtype=bool)
     live = np.arange(len(groups))  # the group of each block of the stack
     stack = _block_stack(groups)
+    involutions = _involution_rows(stack.images0)
     for _ in range(words):
-        minima, lengths = _cycles(stack._word_element(rng, max_word_len), d)
+        minima, lengths = _cycles(stack._word_element(rng, max_word_len, involutions), d)
         blocks = minima // d
         hit = np.zeros(len(live), dtype=bool)
         hit[blocks[large[lengths]]] = True

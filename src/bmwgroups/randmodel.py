@@ -155,20 +155,38 @@ def sample_tuple(m: int, n: int, rng: RngState) -> InvolutionTuple:
     coordinate is uniform.  Coordinate ``c`` makes its ``n/2`` calls after
     those of the coordinates before it, and the whole tuple is a pure
     function of the rng seed.  All ``m * n/2`` calls are made by one
-    :meth:`~bmwgroups.rng.RngState.randbelow_block`, so only the slot swaps
-    run in Python.
+    :meth:`~bmwgroups.rng.RngState.randbelow_block`.
+
+    The swaps then run in rounds, on one flat slot array that holds
+    coordinate ``c`` at offset ``c * n`` (deterministic reservations: Shun,
+    Gu, Blelloch, Fineman and Gibbons, SODA 2015).  Each round every pending
+    step reserves both its slots with its index, the least index winning,
+    and every step that holds both swaps.  Those steps touch disjoint slots,
+    and no earlier step that touches one is pending, so each swaps what the
+    sequential loop would: the result is the loop's.  About half the pending
+    steps win a round, so (6, 7778) takes 14-18 rounds.
     """
     _check_shape(m, n)
     steps = n // 2
     bounds = np.tile(np.arange(n - 1, 0, -2), m)
-    targets = rng.randbelow_block(bounds).reshape(m, steps) + np.arange(1, n, 2)
-    slots = []
-    for row in targets.tolist():
-        s = list(range(n))
-        for a, j in zip(range(1, n, 2), row):
-            s[a], s[j] = s[j], s[a]
-        slots.append(s)
-    slots = np.array(slots, dtype=np.int64)
+    anchor = np.arange(1, n, 2) + np.arange(0, m * n, n)[:, None]
+    target = (rng.randbelow_block(bounds).reshape(m, steps) + anchor).reshape(-1)
+    anchor = anchor.reshape(-1)
+    step = np.arange(m * steps)
+    free = m * steps  # above every step index
+    held = np.full(m * n, free)
+    slots = np.tile(np.arange(n), m)
+    while len(step):
+        np.minimum.at(held, anchor, step)
+        np.minimum.at(held, target, step)
+        won = (held.take(anchor) == step) & (held.take(target) == step)
+        a, j = anchor.compress(won), target.compress(won)
+        slots[a], slots[j] = slots.take(j), slots.take(a)
+        held[anchor] = free
+        held[target] = free
+        pending = np.flatnonzero(~won)
+        anchor, target, step = anchor.take(pending), target.take(pending), step.take(pending)
+    slots = slots.reshape(m, n)
     anchors, partners = slots[:, 0::2], slots[:, 1::2]
     images = np.empty((m, n), dtype=np.int64)
     np.put_along_axis(images, anchors, partners + 1, axis=1)

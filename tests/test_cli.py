@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bmwgroups
-from bmwgroups import formats, radu, schreier
+from bmwgroups import cli, formats, radu, schreier
 from bmwgroups.cli import main
 from bmwgroups.errors import UsageError
 from bmwgroups.perm import Permutation
@@ -303,6 +303,20 @@ class TestAnalyze:
         for key in ("no_triple_matchings", "connected", "has_black_edge", "a_local"):
             assert base["certificates"][key] == zero["certificates"][key]
 
+    def test_certify_size_report_bytes_pinned(self, capsys, tmp_path):
+        # the report on the pinned (6, 7778) seed-0 tuple: sampler rounds and
+        # freely reduced Jordan words leave every byte as it was
+        path = tmp_path / "tuple.json"
+        code, _out, _err = run(
+            capsys, "sample", "--m", "6", "--n", "7778", "--seed", "0", "--out", str(path)
+        )
+        assert code == 0
+        code, out, _err = run(capsys, "analyze", "--input", str(path))
+        assert code == 1  # B side Sym(7778), but nothing is certified irreducible
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cbf92f03594f8f975e09904552ec3bafc62024b8c9bcae602915f7b8fab98c1c"
+        )
+
     def test_malformed_file_exit_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -576,6 +590,24 @@ class TestParser:
 
     def test_unknown_flag_exit_two(self, capsys):
         assert run(capsys, "census", "--m", "2", "--n", "2", "--bogus")[0] == 2
+
+    def test_cached_parser_answers_as_fresh_ones(self, capsys):
+        # no flag of one call survives into the next on the one parser
+        runs = [
+            ("mc", "--kind", "expected_M", "--m", "6", "--n", "20", "--trials", "50"),
+            ("mc", "--kind", "orbit_share", "--n", "6", "--trials", "0"),
+            ("census", "--m", "2", "--n", "2", "--bogus"),
+            ("census", "--m", "2", "--n", "4"),
+        ]
+        cached = [run(capsys, *argv) for argv in runs]
+        fresh = []
+        for argv in runs:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert cached == fresh
+        assert [code for code, _out, _err in cached] == [0, 0, cli.EXIT_USAGE, 0]
+        assert json.loads(cached[1][1])["m"] is None
+        assert cli._build_parser() is cli._build_parser()
 
 
 # The commands of the benchmark's workloads, run in a fresh interpreter.

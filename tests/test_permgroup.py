@@ -17,6 +17,7 @@ from bmwgroups.permgroup import (
     _alternating_by_jordan,
     _block_stack,
     _classify_groups,
+    _involution_rows,
     _orbit_labels,
     schreier_analysis,
 )
@@ -189,6 +190,38 @@ class TestArrayGroup:
             word = g._word_element(rng, 100)
             assert word.tolist() == word_by_scalar_loop(rows, scalar, 100)
             assert rng.index == scalar.index
+
+    @staticmethod
+    def _word_cases():
+        """(group, involution flags or None) pairs whose words reduce differently."""
+        cycles = group(7, cyc(7, (1, 2, 3)), cyc(7, (3, 4, 5, 6, 7)))  # no letter cancels
+        mixed = group(5, cyc(5, (1, 2)), cyc(5, (1, 2, 3, 4, 5)))  # only the first cancels
+        alone = group(6, cyc(6, (1, 2), (3, 4), (5, 6)))  # every even-length word cancels whole
+        # row 0 is an involution in the first block and a 7-cycle in the second
+        first = group(7, cyc(7, (1, 2), (3, 4)), cyc(7, (1, 2, 3, 4, 5, 6, 7)))
+        second = group(7, cyc(7, (1, 2, 3, 4, 5, 6, 7)), cyc(7, (5, 6)))
+        stack = _block_stack([first, second])
+        flags = _involution_rows(stack.images0)
+        assert flags == [False, False]
+        assert _involution_rows(first.images0) == [True, False]
+        # a sub-stack keeps the flags of the stack it came from
+        return [(cycles, None), (mixed, None), (alone, None), (stack, None), (first, flags)]
+
+    @pytest.mark.parametrize("lowered", [False, True])
+    def test_reduced_word_equals_the_scalar_loop(self, monkeypatch, lowered):
+        real = rng_module.rejection_limit
+        if lowered:
+            monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
+        identities = 0
+        for g, flags in self._word_cases():
+            rows = g.images0.tolist()
+            rng, scalar = RngState(31), RngState(31)
+            for _ in range(300):
+                word = g._word_element(rng, 12, flags)
+                assert word.tolist() == word_by_scalar_loop(rows, scalar, 12)
+                assert rng.index == scalar.index
+                identities += word.tolist() == list(range(g.degree))
+        assert identities  # some words cancelled whole
 
     def test_word_element_rejection_branch_runs(self, monkeypatch):
         calls = []

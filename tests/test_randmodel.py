@@ -141,7 +141,17 @@ class TestBlockSampler:
         return state.index - start
 
     @pytest.mark.parametrize(
-        "m, n, trials", [(1, 2, 50), (3, 10, 50), (12, 40, 50), (6, 200, 50), (6, 7778, 3)]
+        "m, n, trials",
+        [
+            (1, 2, 50),
+            (3, 10, 50),
+            (12, 40, 50),
+            (6, 200, 50),
+            (6, 7778, 3),
+            (1, 20000, 2),  # the longest single shuffle: the most swap rounds
+            (2, 4, 400),  # draws of 0 (a step swapping a slot with itself) are frequent
+            (3, 6, 400),
+        ],
     )
     def test_equals_scalar_loop(self, m, n, trials):
         root = RngState(404)
