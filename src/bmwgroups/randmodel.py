@@ -951,7 +951,11 @@ _STATISTICS = {
     "overlap_rate": _has_overlap,
 }
 
-_CHUNK = 4096  # at most B trials per batch
+# At most B trials per batch: at (6, 200) the sampler's (n, B) int64 slot
+# array is then 0.8 MB and stays in a 2 MiB L2 through all m n / 2 step
+# passes, and the statistic reads the 4.9 MB batch while it is still warm.
+# Eight times as many trials miss L2 on every pass and scatter.
+_CHUNK = 512
 # at most B m n image entries (64 MiB) per batch, n x endpoints per white-ball block
 _CHUNK_ENTRIES = 1 << 23
 

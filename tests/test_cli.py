@@ -567,6 +567,22 @@ class TestMc:
         )
 
     @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (("--kind", "expected_M", "--m", "6"),
+             "9bedae6251d32033d38f5840ca76112407e2ea046c5273bfc32cc74b1efa30fd"),
+            (("--kind", "orbit_share"),
+             "ae141aca16ec767a7abe41399183df025ccb93fb8866f9912b1bb26d660335b2"),
+        ],
+    )
+    def test_batched_kind_bytes_pinned(self, capsys, args, digest):
+        # 1500 trials at (6, 200) span three 512-trial batches; the digests are
+        # those of the same trials drawn as one 4096-trial batch
+        code, out, _err = run(capsys, "mc", *args, "--n", "200", "--trials", "1500", "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "m, n, trials, digest",
         [
             (2, 4, 0, "a486795adf4eb266fa9411bf3d75a24e6c9399290a4b9cfbec68bc3ec7f994f2"),

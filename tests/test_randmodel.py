@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -1041,9 +1042,20 @@ class TestMonteCarlo:
         batch = next(_image_batches(2, 20000, 1000, RngState(0)))
         assert batch.shape[1:] == (2, 20000)
         assert 1 <= len(batch) and batch.nbytes <= 64 * 2**20
-        # at the benchmark's (6, 200) a batch still holds 4096 trials
-        assert len(next(_image_batches(6, 200, 5000, RngState(0)))) == 4096
+        # at the benchmark's (6, 200) a batch holds 512 trials: the sampler's
+        # (200, 512) slot array (0.8 MB) then stays in a 2 MiB L2 cache
+        assert len(next(_image_batches(6, 200, 5000, RngState(0)))) == 512
         assert len(next(_image_batches(3, 4, 0, RngState(0)))) == 27
+
+    def test_batched_kind_peak_memory(self):
+        # one 512-trial batch alive at a time: 4096-trial batches peaked at 53 MiB
+        tracemalloc.start()
+        try:
+            monte_carlo("expected_M", 6, 200, 5000, RngState(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize(
         "kind, n, trials, per_batch, blocks",
@@ -1092,6 +1104,15 @@ class TestMonteCarlo:
         monkeypatch.setattr(randmodel, "_CHUNK_ENTRIES", 7 * m * n)
         assert len(next(_image_batches(m, n, trials, RngState(13)))) == 7
         assert monte_carlo(kind, m, n, trials, RngState(13)).to_dict() == expected
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("kind, trials", [("overlap_rate", 600), ("certificate_rates", 130)])
+    def test_documents_do_not_depend_on_the_trial_cap(self, monkeypatch, kind, trials, chunk):
+        # the chunking test at the benchmark's shape, with the trial cap itself moved
+        expected = monte_carlo(kind, 6, 200, trials, RngState(13)).to_dict()
+        monkeypatch.setattr(randmodel, "_CHUNK", chunk)
+        assert len(next(_image_batches(6, 200, trials, RngState(13)))) == min(chunk, trials)
+        assert monte_carlo(kind, 6, 200, trials, RngState(13)).to_dict() == expected
 
     def test_certificate_rates_run(self):
         result = monte_carlo("certificate_rates", 3, 6, 50, RngState(6))
