@@ -32,9 +32,14 @@ words in the generators (Seress, *Permutation Group Algorithms*, 2003,
 word j is the same in every group with k generators.  Groups of one (k, d)
 shape are therefore classified together on their block-diagonal stack, a
 group of degree B*d whose row r is every group's row r, block b shifted by
-b*d: each word is composed once on the stack, a block whose word certifies
-leaves it, and transitivity and generator parity are read off the same
-kind of stack.  A group alone is a stack of one.
+b*d.  The stack is built once per shape, and transitivity, generator
+parity and the Jordan words all read it.  Each word is composed once on
+the stack, and one pass of the isolated-prime rule reads every block's
+cycles.  A block whose word certifies leaves the stack: a boolean mask
+narrows the stack's (k, B, d) view and the blocks kept shift down, with no
+rebuild from the groups.  An involution's parity is read from the number
+of points it moves, so only the other rows have their cycles counted.  A
+group alone is a stack of one.
 
 Group analyses cache write-once on the instance; concurrent readers are safe
 once a value is computed, and analyses of distinct groups are independent.
@@ -42,6 +47,7 @@ once a value is computed, and analyses of distinct groups are independent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,17 +68,16 @@ _TRANSVERSAL_ENTRIES = 1 << 21
 _JORDAN_SEED = 0x6A09E667F3BCC908
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+@functools.lru_cache(maxsize=4)
+def _prime_sieve(degree: int) -> np.ndarray:
+    """Read-only flags over 0..degree: True at the primes p <= degree-3."""
+    sieve = np.ones(degree + 1, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, math.isqrt(degree) + 1):
+        sieve[f * f::f] = False
+    sieve[max(degree - 2, 0):] = False
+    sieve.flags.writeable = False
+    return sieve
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -135,32 +140,59 @@ def _cycles(img0: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     return minima, np.bincount(labels)[minima]
 
 
-def _isolated_prime(lengths: np.ndarray, degree: int) -> Optional[int]:
-    """The largest prime p <= degree-3 such that a power of a permutation is a p-cycle.
+def _isolated_primes(
+    blocks: np.ndarray, lengths: np.ndarray, count: int, degree: int
+) -> np.ndarray:
+    """Per block, the largest prime p <= degree-3 such that a power of its permutation is a p-cycle.
 
-    ``lengths`` are the permutation's cycle lengths.  A permutation with a
-    p-cycle whose other cycle lengths p does not divide powers to that
-    p-cycle: raise it to the lcm of the other lengths.  So p counts when it
-    is the only cycle length divisible by p and occurs once.  None when no p
-    counts.
+    ``blocks`` and ``lengths`` give each cycle's block, in increasing order,
+    and its length, as :func:`_cycles` reads them off a stack of ``count``
+    blocks of ``degree`` points.  A permutation with a p-cycle whose other
+    cycle lengths p does not divide powers to that p-cycle: raise it to the
+    lcm of the other lengths.  So p counts when it is the only cycle length
+    divisible by p and occurs once.  A block where no p counts gets 0.
+
+    The cycles are sorted by block, then length, so a candidate p, a prime
+    length that occurs once in its block, is spoiled only by a longer length
+    of its block that p divides; one gather pairs every candidate with
+    those lengths.
     """
-    counts = np.bincount(lengths)
-    present = np.flatnonzero(counts).tolist()
-    for p in reversed(present):
-        if (
-            p <= degree - 3
-            and counts[p] == 1
-            and _is_prime(p)
-            and not any(q % p == 0 for q in present if q != p)
-        ):
-            return p
-    return None
+    span = degree + 1
+    keys = blocks * span + lengths
+    keys.sort()
+    differ = np.ones(len(keys) + 1, dtype=bool)  # from the key before, and the key after
+    np.not_equal(keys[1:], keys[:-1], out=differ[1:-1])
+    block, length = np.divmod(keys, span)
+    once = differ[1:] & differ[:-1]
+    candidates = np.flatnonzero(once & _prime_sieve(degree).take(length))
+    primes = np.zeros(count, dtype=np.int64)
+    if not len(candidates):
+        return primes
+    block = block.take(candidates)
+    longer = np.searchsorted(keys, (block + 1) * span) - candidates - 1
+    owner = np.repeat(np.arange(len(candidates)), longer)
+    other = np.arange(len(owner)) + np.repeat(candidates + 1 - np.cumsum(longer) + longer, longer)
+    p = length.take(candidates)
+    spoiled = np.zeros(len(candidates), dtype=bool)
+    spoiled[owner[length.take(other) % p.take(owner) == 0]] = True
+    block, p = block[~spoiled], p[~spoiled]
+    last = np.ones(len(block), dtype=bool)  # each block's largest p
+    np.not_equal(block[1:], block[:-1], out=last[:-1])
+    primes[block[last]] = p[last]
+    return primes
+
+
+def _row_primes(rows: np.ndarray) -> np.ndarray:
+    """:func:`_isolated_primes` of each row of an (r, d) 0-based image array, one block per row."""
+    r, d = rows.shape
+    minima, lengths = _cycles((rows + np.arange(0, r * d, d)[:, None]).reshape(-1), d)
+    return _isolated_primes(minima // d, lengths, r, d)
 
 
 def _involution_rows(gens: np.ndarray) -> list[bool]:
     """Whether each row of a (k, d) 0-based image array is an involution."""
-    squares = np.take_along_axis(gens, gens, axis=1)
-    return (squares == np.arange(gens.shape[1])).all(axis=1).tolist()
+    points = np.arange(gens.shape[1])
+    return [np.array_equal(row.take(row), points) for row in gens]
 
 
 def _orbit_labels(gens: np.ndarray) -> np.ndarray:
@@ -171,24 +203,59 @@ def _orbit_labels(gens: np.ndarray) -> np.ndarray:
     until they settle.  Labels stay in their points' orbits and never
     exceed them, so at the fixpoint each orbit carries its minimum.
     Hooking whole labels keeps the rounds few on a long cycle or path.
+    Every gather and scatter reads or writes one row at a time.
     """
-    d = gens.shape[1]
-    inverses = np.empty_like(gens)
-    np.put_along_axis(inverses, gens, np.arange(d), axis=1)
-    # an involution is its own inverse, so involution rows need no second copy
-    new = (inverses != gens).any(axis=1)
-    moves = np.concatenate([gens, inverses[new]]) if new.any() else gens
-    del inverses, new
-    labels = np.arange(d)
+    points = np.arange(gens.shape[1])
+    moves = list(gens)
+    for row in gens:
+        inverse = np.empty_like(row)
+        inverse[row] = points
+        # an involution is its own inverse, so involution rows need no second copy
+        if (inverse != row).any():
+            moves.append(inverse)
+    labels = points
     while True:
+        least = labels.copy()  # a label's own point changes no hook
+        for row in moves:
+            np.minimum(least, labels.take(row), out=least)
         hooked = labels.copy()
-        np.minimum.at(hooked, labels, labels[moves].min(axis=0, initial=d))
-        jumped = hooked[hooked]
-        while not np.array_equal(jumped, hooked):
-            hooked, jumped = jumped, jumped[jumped]
-        if np.array_equal(hooked, labels):
+        np.minimum.at(hooked, labels, least)
+        jumped = hooked.take(hooked)
+        while (jumped != hooked).any():
+            hooked, jumped = jumped, jumped.take(jumped)
+        if (hooked == labels).all():
             return labels
         labels = hooked
+
+
+def _generator_arrays(degree: int, tables: np.ndarray) -> list[np.ndarray]:
+    """``images0`` of each table of a (B, k, degree) array of 0-based images.
+
+    That is the table's distinct rows that move a point, in first-seen
+    order, as a read-only int64 array.  One linear hash of every row screens
+    the whole array: equal rows hash equal, so a table whose hashes are
+    distinct and differ from the identity's keeps a view of its rows, and
+    only the others are deduplicated row by row.  The weights increase, so
+    no other permutation hashes as the identity while no sum wraps.
+    """
+    tables = np.ascontiguousarray(tables, dtype=np.int64)
+    view = tables.view()
+    view.flags.writeable = False
+    weights = np.arange(1, degree + 1) ** 2
+    hashes = np.einsum("bkd,d->bk", tables, weights)
+    hashes.sort(axis=1)
+    clean = (hashes != weights @ np.arange(degree)).all(axis=1)
+    clean &= (hashes[:, 1:] != hashes[:, :-1]).all(axis=1)
+    return [view[b] if ok else _distinct_moving(tables[b]) for b, ok in enumerate(clean.tolist())]
+
+
+def _distinct_moving(table: np.ndarray) -> np.ndarray:
+    """The distinct rows of a (k, d) int64 table that move a point, first-seen order, read-only."""
+    d = table.shape[1]
+    moving = table[(table != np.arange(d)).any(axis=1)]
+    rows = dict.fromkeys(row.tobytes() for row in moving)  # first-seen order
+    # an array over immutable bytes is read-only
+    return np.frombuffer(b"".join(rows), dtype=np.int64).reshape(len(rows), d)
 
 
 class PermutationGroup:
@@ -210,28 +277,39 @@ class PermutationGroup:
         gens = tuple(generators)
         if any(g.degree != degree for g in gens):
             raise DegreeError("generator degree mismatch")
-        table = np.array([g.images for g in gens], dtype=np.int64).reshape(len(gens), degree)
-        self._init(degree, table - 1, gens)
+        table = np.array([g.images for g in gens], dtype=np.int64).reshape(1, len(gens), degree)
+        self._init(degree, _generator_arrays(degree, table - 1)[0], gens)
 
     @classmethod
     def _from_images0(cls, degree: int, table: np.ndarray) -> "PermutationGroup":
         """The group generated by the rows of a (k, degree) array of 0-based images.
 
-        The rows are not checked; each must be a permutation of 0..degree-1.
+        The one-table case of :meth:`_batch_from_images0`.
         """
-        group = object.__new__(cls)
-        group._init(int(degree), table, None)
-        return group
+        return cls._batch_from_images0(degree, np.asarray(table)[None])[0]
+
+    @classmethod
+    def _batch_from_images0(cls, degree: int, tables: np.ndarray) -> list["PermutationGroup"]:
+        """The group of each table of a (B, k, degree) array of 0-based images.
+
+        The rows are not checked; each must be a permutation of
+        0..degree-1.  A group may view the array, which must not change
+        afterwards.
+        """
+        degree = int(degree)
+        groups = []
+        for images0 in _generator_arrays(degree, tables):
+            group = object.__new__(cls)
+            group._init(degree, images0, None)
+            groups.append(group)
+        return groups
 
     def _init(
-        self, degree: int, table: np.ndarray, generators: Optional[tuple[Permutation, ...]]
+        self, degree: int, images0: np.ndarray, generators: Optional[tuple[Permutation, ...]]
     ) -> None:
         self.degree = degree
         self._generators = generators
-        moving = table[(table != np.arange(degree)).any(axis=1)].astype(np.int64, copy=False)
-        rows = dict.fromkeys(row.tobytes() for row in moving)  # first-seen order
-        # an array over immutable bytes is read-only
-        self.images0 = np.frombuffer(b"".join(rows), dtype=np.int64).reshape(len(rows), degree)
+        self.images0 = images0
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
@@ -254,12 +332,8 @@ class PermutationGroup:
         return self._rows
 
     def _has_odd_generator(self) -> bool:
-        """Whether some generator is odd: d minus its cycle count is odd."""
-        return _odd_generators([self])[0]
-
-    def _prime_cycle(self, img0: np.ndarray) -> Optional[int]:
-        """:func:`_isolated_prime` of the cycle lengths of ``img0``."""
-        return _isolated_prime(_cycles(img0, self.degree)[1], self.degree)
+        """Whether some generator is odd (:func:`_odd_generators` of one block)."""
+        return _odd_generators(self, self.degree)[0]
 
     # -- order -----------------------------------------------------------------
 
@@ -298,7 +372,9 @@ class PermutationGroup:
           Dixon-Mortimer, *Permutation Groups*, Thm 3.3E): a primitive group
           containing a p-cycle, p prime and p <= d-3, contains Alt(d).  The
           p-cycle is a power of a generator or of a product of two generators
-          (:meth:`_prime_cycle`).  A transitive group with such a p-cycle and
+          (:func:`_isolated_primes`, read with each permutation as a block:
+          the generators first, then the products with each generator in
+          turn).  A transitive group with such a p-cycle and
           2p > d is primitive, since a block system would need blocks of
           size >= p > d/2; otherwise :meth:`is_primitive` decides.  An odd
           generator then gives d!, all even ones d!/2.
@@ -316,8 +392,9 @@ class PermutationGroup:
             return math.prod(math.factorial(size) for size in sizes.tolist())
         if d < 5 or not self.is_transitive():
             return None
-        products = (g.take(h) for h, g in itertools.combinations(gens, 2))
-        p = next(filter(None, map(self._prime_cycle, itertools.chain(gens, products))), None)
+        products = (gens[i + 1:].take(h, axis=1) for i, h in enumerate(gens[:-1]))
+        primes = (_row_primes(rows) for rows in itertools.chain([gens], products))
+        p = next((int(found[found > 0][0]) for found in primes if found.any()), None)
         if p is None:
             return None
         if 2 * p <= d and not (d <= DEFAULT_PRIMITIVITY_GUARD and self.is_primitive()):
@@ -630,54 +707,76 @@ def _by_shape(groups: Sequence[PermutationGroup]) -> list[list[PermutationGroup]
     return list(shapes.values())
 
 
+def _stack_of(table: np.ndarray) -> PermutationGroup:
+    """The group whose generators are the rows of a (k, B*d) stack table, as they stand."""
+    table.flags.writeable = False
+    stack = object.__new__(PermutationGroup)
+    stack._init(table.shape[1], table, None)
+    return stack
+
+
 def _block_stack(groups: Sequence[PermutationGroup]) -> PermutationGroup:
     """The block-diagonal stack of groups of one (k, d) shape, of degree B*d.
 
     Row r is every group's row r, block b shifted by b*d, so a word in the
     stack's generators is that word in every block, and the stack's orbits
-    and cycles are those of its blocks.  The stack of one group is the group.
+    and cycles are those of its blocks.  ``images0.reshape(k, B, d)`` views
+    the blocks.  The stack of one group is the group.
     """
     if len(groups) == 1:
         return groups[0]
-    k, d = groups[0].images0.shape
-    table = np.stack([g.images0 for g in groups], axis=1)
-    table += np.arange(0, len(groups) * d, d)[:, None]
-    table.flags.writeable = False
+    d = groups[0].degree
+    table = np.concatenate([g.images0 for g in groups], axis=1)
+    table += np.repeat(np.arange(0, len(groups) * d, d), d)
     # the blocks' rows are distinct and move points, so the stack's rows are
     # its generators as they stand
-    stack = object.__new__(PermutationGroup)
-    stack.degree, stack._generators = len(groups) * d, None
-    stack.images0 = table.reshape(k, stack.degree)
-    return stack
+    return _stack_of(table)
+
+
+def _sub_stack(stack: PermutationGroup, d: int, keep: np.ndarray) -> PermutationGroup:
+    """The stack of the blocks a boolean mask keeps, each shifted down to its new place."""
+    k = len(stack.images0)
+    kept = np.flatnonzero(keep)
+    table = stack.images0.reshape(k, -1, d).take(kept, axis=1).reshape(k, -1)
+    table -= np.repeat((kept - np.arange(len(kept))) * d, d)
+    return _stack_of(table)
+
+
+def _transitive_blocks(stack: PermutationGroup, d: int) -> list[bool]:
+    """Whether each block of a stack is transitive: all its orbit labels are its first point."""
+    labels = _orbit_labels(stack.images0).reshape(-1, d)
+    return (labels == labels[:, :1]).all(axis=1).tolist()
 
 
 def _mark_transitive(groups: Sequence[PermutationGroup]) -> None:
-    """Cache ``is_transitive`` of every group: one orbit labelling per shape.
-
-    A block is one orbit exactly when all its labels are its first point.
-    """
+    """Cache ``is_transitive`` of every group: one orbit labelling per shape."""
     for members in _by_shape([g for g in groups if g._transitive is None]):
-        labels = _orbit_labels(_block_stack(members).images0).reshape(len(members), -1)
-        for g, transitive in zip(members, (labels == labels[:, :1]).all(axis=1).tolist()):
-            g._transitive = transitive
+        transitive = _transitive_blocks(_block_stack(members), members[0].degree)
+        for g, t in zip(members, transitive):
+            g._transitive = t
 
 
-def _odd_generators(groups: Sequence[PermutationGroup]) -> list[bool]:
-    """Whether each group has an odd generator, one cycle count per stack row.
+def _odd_generators(stack: PermutationGroup, d: int) -> list[bool]:
+    """Whether each block of a stack of degree-d groups has an odd generator.
 
-    The rows stop once every block has an odd one.
+    A row's block that is an involution and moves 2t points has parity t
+    mod 2; only a row that is no involution in some block has its cycles
+    counted, and its parity is d minus its cycle count there.  The rows stop
+    once every block has an odd one.
     """
-    odd: dict[int, bool] = {}
-    for members in _by_shape(groups):
-        d = members[0].degree
-        found = np.zeros(len(members), dtype=bool)
-        for row in _block_stack(members).images0:
-            if found.all():
-                break
-            cycles = np.bincount(_cycles(row, d)[0] // d, minlength=len(members))
-            found |= (d - cycles) % 2 == 1
-        odd.update(zip(map(id, members), found.tolist()))
-    return [odd[id(g)] for g in groups]
+    points = np.arange(stack.degree)
+    found = np.zeros(stack.degree // d, dtype=bool)
+    for row in stack.images0:
+        if found.all():
+            break
+        moved = (row != points).reshape(-1, d).sum(axis=1)
+        odd = moved // 2 % 2 == 1
+        involution = (row.take(row) == points).reshape(-1, d).all(axis=1)
+        if not involution.all():
+            cycles = np.bincount(_cycles(row, d)[0] // d, minlength=len(found))
+            odd = np.where(involution, odd, (d - cycles) % 2 == 1)
+        found |= odd
+    return found.tolist()
 
 
 def _alternating_by_jordan(
@@ -685,78 +784,87 @@ def _alternating_by_jordan(
     rng: Optional[RngState],
     words: int,
     max_word_len: int,
+    odd: Optional[dict[int, bool]] = None,
 ) -> list[Optional[bool]]:
     """``contains_alternating("jordan")`` of each group.
 
-    Groups with no generator or of degree below 5 are decided exactly, and
-    intransitive ones are not Alt(d)-containing.  The rest draw their words
-    from the default stream, started afresh for each shape, so one
-    :func:`_jordan_words` call serves all groups of a shape.  An explicit
-    ``rng`` is one stream, consumed as the loop would, so it serves one group.
+    Each (k, d) shape is stacked once (:func:`_block_stack`), and that one
+    stack gives the groups' transitivity, when not cached, and their Jordan
+    words; with a dict ``odd`` it also gives each group's generator parity
+    (:func:`_odd_generators`), stored by ``id``.  Groups with no generator or
+    of degree below 5 are decided exactly, and intransitive ones are not
+    Alt(d)-containing.  The rest draw their words from the default stream,
+    started afresh for each shape, so one :func:`_jordan_words` call serves
+    all groups of a shape.  An explicit ``rng`` is one stream, consumed as
+    the loop would, so it serves one group.
     """
     if rng is not None and len(groups) > 1:
         raise UsageError("an explicit rng serves one group")
-    _mark_transitive(groups)
     answers: dict[int, Optional[bool]] = {}
-    pending = []
-    for g in groups:
-        d = g.degree
-        if not len(g.images0):
-            answers[id(g)] = d <= 2  # Alt(d) is trivial only for d <= 2
+    for members in _by_shape(groups):
+        k, d = members[0].images0.shape
+        stack = _block_stack(members)
+        if any(g._transitive is None for g in members):
+            for g, t in zip(members, _transitive_blocks(stack, d)):
+                g._transitive = t
+        if odd is not None:
+            odd.update(zip(map(id, members), _odd_generators(stack, d)))
+        if not k:
+            found = [d <= 2] * len(members)  # Alt(d) is trivial only for d <= 2
         elif d < 5:
-            answers[id(g)] = g.order() >= math.factorial(d) // 2
-        elif not g.is_transitive():
-            answers[id(g)] = False
+            found = [g.order() >= math.factorial(d) // 2 for g in members]
         else:
-            pending.append(g)
-    for members in _by_shape(pending):
-        stream = RngState(_JORDAN_SEED) if rng is None else rng
-        answers.update(zip(map(id, members), _jordan_words(members, stream, words, max_word_len)))
+            transitive = [g._transitive for g in members]
+            found = [None if t else False for t in transitive]
+            if any(transitive):
+                pending = [g for g in members if g._transitive]
+                if not all(transitive):
+                    stack = _sub_stack(stack, d, np.array(transitive))
+                stream = RngState(_JORDAN_SEED) if rng is None else rng
+                certified = iter(_jordan_words(pending, stack, stream, words, max_word_len))
+                found = [next(certified) if t else False for t in transitive]
+        answers.update(zip(map(id, members), found))
     return [answers[id(g)] for g in groups]
 
 
 def _jordan_words(
-    groups: Sequence[PermutationGroup], rng: RngState, words: int, max_word_len: int
+    groups: Sequence[PermutationGroup],
+    stack: PermutationGroup,
+    rng: RngState,
+    words: int,
+    max_word_len: int,
 ) -> list[Optional[bool]]:
-    """Jordan certificates of transitive groups of one (k, d) shape, d >= 5.
+    """Jordan certificates of transitive groups of one (k, d) shape, d >= 5, from their stack.
 
     Each word is composed once, by :meth:`PermutationGroup._word_element` on
-    the block-diagonal stack of the groups still uncertified, and its cycles
-    are read per block.  A block whose word has a prime cycle length p in
-    (d/2, d-3] is certified (that p is :func:`_isolated_prime`'s answer,
-    since no other length reaches d/2) and leaves the stack; the stream stops
-    once none is left.  A block's flag for a smaller p is set from
-    :func:`_isolated_prime` on its cycles while it is unset, and matters
-    only once the words are spent: then :meth:`PermutationGroup.is_primitive`
-    decides.  The involution flags come from the first stack: a row that
-    is an involution in every block is one in every sub-stack.
+    the stack of the groups still uncertified, and one
+    :func:`_isolated_primes` call reads every block's prime off its cycles.
+    A block whose prime p lies in (d/2, d-3] is certified and leaves the
+    stack: a boolean mask drops it from the (k, B, d) view and the blocks
+    kept shift down, so the stack is never rebuilt from the groups.  The
+    stream stops once no block is left.  A block's flag for a smaller p
+    matters only once the words are spent: then
+    :meth:`PermutationGroup.is_primitive` decides.  The involution flags
+    come from the first stack: a row that is an involution in every block is
+    one in every sub-stack.
     """
     d = groups[0].degree
-    sieve = np.ones(d + 1, dtype=bool)
-    sieve[:2] = False
-    for f in range(2, math.isqrt(d) + 1):
-        sieve[f * f::f] = False
-    large = sieve & (2 * np.arange(d + 1) > d) & (np.arange(d + 1) <= d - 3)
     answers: list[Optional[bool]] = [None] * len(groups)
     small = np.zeros(len(groups), dtype=bool)
     live = np.arange(len(groups))  # the group of each block of the stack
-    stack = _block_stack(groups)
     involutions = _involution_rows(stack.images0)
     for _ in range(words):
         minima, lengths = _cycles(stack._word_element(rng, max_word_len, involutions), d)
-        blocks = minima // d
-        hit = np.zeros(len(live), dtype=bool)
-        hit[blocks[large[lengths]]] = True
-        bounds = np.searchsorted(blocks, np.arange(len(live) + 1)).tolist()
-        for b in np.flatnonzero(~hit & ~small[live]).tolist():
-            small[live[b]] = _isolated_prime(lengths[bounds[b]:bounds[b + 1]], d) is not None
+        primes = _isolated_primes(minima // d, lengths, len(live), d)
+        small[live] |= primes > 0
+        hit = 2 * primes > d
         if hit.any():
             for i in live[hit].tolist():
                 answers[i] = True
             live = live[~hit]
             if not len(live):
                 break
-            stack = _block_stack([groups[i] for i in live.tolist()])
+            stack = _sub_stack(stack, d, ~hit)
     for i in live.tolist():
         if small[i] and d <= DEFAULT_PRIMITIVITY_GUARD and groups[i].is_primitive():
             answers[i] = True
@@ -773,7 +881,7 @@ def _classify_groups(
     words: int = DEFAULT_JORDAN_WORDS,
     max_word_len: int = DEFAULT_JORDAN_WORD_LEN,
 ) -> list[GroupClassification]:
-    """``classify`` of each group; the jordan route runs on stacks of one shape.
+    """``classify`` of each group; the jordan route reads one stack per shape.
 
     The caller bounds the stacks' memory: a shape's stack holds k·B·d
     entries for its B groups.  An explicit ``rng`` serves one jordan-route
@@ -786,12 +894,12 @@ def _classify_groups(
         for g in groups
     ]
     jordan = [g for g, e in zip(groups, exact) if not e]
-    contains = iter(_alternating_by_jordan(jordan, rng, words, max_word_len))
-    odd = iter(_odd_generators(jordan))
+    odd: dict[int, bool] = {}
+    contains = iter(_alternating_by_jordan(jordan, rng, words, max_word_len, odd))
     return [
         g._exact_classification(order_guard)
         if e
-        else g._jordan_classification(next(contains), next(odd))
+        else g._jordan_classification(next(contains), odd[id(g)])
         for g, e in zip(groups, exact)
     ]
 

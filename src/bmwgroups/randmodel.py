@@ -487,6 +487,16 @@ def white_ball_vertex(graph: MatchGraph, radius: int) -> Optional[int]:
     return _white_balls(graph.images[None], edges, radius)[0]
 
 
+def _row_bytes(bits: int) -> int:
+    """Bytes of a bitset row of at least ``bits`` bits: 1, 2 or 4, or a multiple of 8.
+
+    numpy gathers rows of such widths a word at a time; a 5-byte row is
+    copied as bytes, at over twice the cost.
+    """
+    width = -(-bits // 8)
+    return 1 << (width - 1).bit_length() if width <= 4 else -(-width // 8) * 8
+
+
 def _white_balls(images: np.ndarray, edges: np.ndarray, radius: int) -> list[Optional[int]]:
     """:func:`white_ball_vertex` of each tuple of a (B, m, n) image array.
 
@@ -498,8 +508,10 @@ def _white_balls(images: np.ndarray, edges: np.ndarray, radius: int) -> list[Opt
     graph of B*n points, tuple b's offset by b*n: bit j of ``reach[x]`` is
     set once x is within the current distance of its tuple's endpoint j,
     and each step ORs in the rows of x's neighbours, one gather per
-    coordinate, until no ball grows.  Each tuple's edges run in blocks, at
-    most ``_CHUNK_ENTRIES`` points x endpoint bits per block.
+    coordinate, until no ball grows.  The rows are padded to whole words
+    (:func:`_row_bytes`), so each gather copies words.  Each tuple's edges
+    run in blocks, at most ``_CHUNK_ENTRIES`` points x endpoint bits per
+    block.
     """
     if radius < 0:
         raise RangeError("radius must be non-negative")
@@ -515,13 +527,15 @@ def _white_balls(images: np.ndarray, edges: np.ndarray, radius: int) -> list[Opt
         owner = points // n
         j = np.arange(len(points)) - np.searchsorted(owner, owner)  # numbered per tuple
         bits = int(j.max()) + 1
-        reach = np.zeros((size * n, -(-bits // 8)), dtype=np.uint8)
+        reach = np.zeros((size * n, _row_bytes(bits)), dtype=np.uint8)
         reach[points, j // 8] = np.left_shift(1, j % 8)
         gathered = np.empty_like(reach)
         for _ in range(radius):
             grown = reach.copy()
             for row in neighbours:
-                grown |= reach.take(row, axis=0, out=gathered)
+                # every index is in range; "clip" fills ``out`` without the
+                # buffer that "raise" copies through
+                grown |= reach.take(row, axis=0, out=gathered, mode="clip")
             if np.array_equal(grown, reach):
                 break
             reach = grown
@@ -711,9 +725,13 @@ def _certificates(
     overlapped at both ends, or any tuple when m exceeds
     ``exact_max_degree``, is classified from its a-parts instead.
 
-    The B sides are classified together: their transitivity by one orbit
-    labelling, and their Jordan words composed once for every group with the
-    same number of distinct rows (:func:`~bmwgroups.permgroup._classify_groups`).
+    The B sides are classified together.  Their groups view one zero-based
+    copy of the images, and one hash of all their rows finds the few tuples
+    with a repeated row
+    (:meth:`~bmwgroups.permgroup.PermutationGroup._batch_from_images0`).
+    Their transitivity comes from one orbit labelling, and their parity and
+    Jordan words from one block-diagonal stack for every group with the same
+    number of distinct rows (:func:`~bmwgroups.permgroup._classify_groups`).
     Their generator entries are what the caller bounds.  An explicit ``rng``
     serves one tuple.
     """
@@ -754,7 +772,7 @@ def _certificates(
 
     # The group of a tuple's rows is transitive exactly when the match graph
     # is connected; without triple matchings it is the B-side local action.
-    b_groups = [PermutationGroup._from_images0(n, table - 1) for table in images]
+    b_groups = PermutationGroup._batch_from_images0(n, images - 1)
     _mark_transitive(b_groups)
     b_cls = iter(
         _classify_groups(

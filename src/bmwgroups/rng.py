@@ -64,9 +64,19 @@ def _mix64_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
+# The largest raw word that ``randbelow`` may accept.  Every limit below is
+# computed from it, so lowering it lowers the limits of the scalar loop and
+# of the draft alike.
+_TOP = _MASK
+
+
 def rejection_limit(bound: int) -> int:
-    """Raw words at or above this value are rejected by ``randbelow(bound)``."""
-    return ((1 << 64) // bound) * bound
+    """Raw words at or above this value are rejected by ``randbelow(bound)``.
+
+    That is ``(2**64 // bound) * bound``: below it every residue mod
+    ``bound`` is equally likely.
+    """
+    return _TOP + 1 - (1 << 64) % bound
 
 
 def raw_block(seed, start_index: int, count: int) -> np.ndarray:
@@ -87,23 +97,22 @@ def randbelow_draft(seed, start_index: int, bounds) -> tuple[np.ndarray, np.ndar
     The draws are those of a state with ``seed`` after ``start_index`` draws,
     one raw word per bound, returned as int64 values with the shape of
     :func:`raw_block`, together with a mask of the seeds whose words hit the
-    rejection branch: their values are not the loop's.  Each distinct bound's
-    limit is computed once, by :func:`rejection_limit` looked up at call time.
+    rejection branch: their values are not the loop's.  The limits of all
+    bounds come from one uint64 expression.
     """
     bounds = np.asarray(bounds, dtype=np.int64)
-    ranked = np.sort(bounds)  # np.unique and set() cost more
-    distinct = ranked[:1].tolist() + ranked[1:][ranked[1:] != ranked[:-1]].tolist()
-    if distinct and distinct[0] < 1:
+    if len(bounds) and bounds.min() < 1:
         raise ValueError("bound must be positive")
-    # randbelow(b) rejects u >= limit, that is u > limit - 1, which fits in 64 bits
-    highest = [rejection_limit(b) - 1 for b in distinct]
+    wide = bounds.astype(np.uint64)
+    # randbelow(b) rejects u >= limit, that is u > limit - 1 = _TOP - 2**64 mod b,
+    # and (0 - b) % b is 2**64 mod b in uint64 arithmetic
+    highest = np.uint64(_TOP) - (np.uint64(0) - wide) % wide
     words = raw_block(seed, start_index, len(bounds))
     # a word at most the least highest value is accepted whatever its bound
-    rejected = (words > np.uint64(min(highest, default=_MASK))).any(axis=-1)
+    rejected = (words > highest.min(initial=np.uint64(_TOP))).any(axis=-1)
     if rejected.any():
-        highest = np.array(highest, dtype=np.uint64)[np.searchsorted(distinct, bounds)]
         rejected = (words > highest).any(axis=-1)
-    words %= bounds.astype(np.uint64)
+    words %= wide
     return words.view(np.int64), rejected  # each value is below an int64 bound
 
 

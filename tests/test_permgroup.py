@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import bmwgroups.rng as rng_module
+import bmwgroups.permgroup as permgroup
 from bmwgroups import radu, schreier
 from bmwgroups.errors import ResourceError, UsageError
-from bmwgroups.perm import Permutation
+from bmwgroups.perm import Permutation, enumerate_fpf
 from bmwgroups.permgroup import (
     _JORDAN_SEED,
     DEFAULT_JORDAN_WORD_LEN,
@@ -17,8 +17,12 @@ from bmwgroups.permgroup import (
     _alternating_by_jordan,
     _block_stack,
     _classify_groups,
+    _cycles,
     _involution_rows,
+    _isolated_primes,
+    _odd_generators,
     _orbit_labels,
+    _row_primes,
     schreier_analysis,
 )
 from bmwgroups.randmodel import (
@@ -29,6 +33,7 @@ from bmwgroups.randmodel import (
 )
 from bmwgroups.rng import RngState
 
+from .lowered import lower_rejection_limits
 from .oracles import (
     closure_order,
     contains_alternating_by_closure,
@@ -84,6 +89,20 @@ def _b_side_group(m, n, seed):
             return PermutationGroup._from_images0(n, tup.images - 1)
 
 
+# (degree, cycle lengths, the isolated prime)
+CRAFTED_CYCLE_TYPES = [
+    (24, (7, 14), None),  # p divides another length
+    (20, (5, 5, 3), 3),  # two 5-cycles; 3 divides nothing else
+    (20, (5, 5), None),
+    (10, (7,), 7),  # p = d - 3
+    (9, (7,), None),  # p = d - 2
+    (9, (5, 2), 5),
+    (30, (11, 13, 2, 4), 13),  # the largest p wins
+    (60, (11, 13, 26), 11),
+    (12, (), None),  # the identity
+]
+
+
 def _from_cycle_type(degree, lengths):
     """A permutation of the given degree with consecutive cycles of these lengths."""
     start, cycles = 1, []
@@ -105,6 +124,30 @@ class TestArrayGroup:
         assert g.generators == (b, a)
         assert not g.images0.flags.writeable
 
+    def test_batch_constructor_keeps_distinct_moving_rows(self):
+        # every (3, 4) tuple, many with repeated rows, and tables with identity rows
+        pool = [e.images for e in enumerate_fpf(4)]
+        tables = [list(rows) for rows in itertools.product(pool, repeat=3)]
+        identity = (1, 2, 3, 4)
+        tables += [[identity, pool[0], identity], [identity] * 3, [pool[2], pool[1], pool[2]]]
+        tables = np.array(tables) - 1
+        groups = PermutationGroup._batch_from_images0(4, tables)
+        assert len(groups) == len(tables) == 30
+        views = 0
+        for g, table in zip(groups, tables.tolist()):
+            rows = []  # the distinct moving rows in first-seen order, by a scan
+            for row in table:
+                if row != [0, 1, 2, 3] and row not in rows:
+                    rows.append(row)
+            assert g.images0.tolist() == rows
+            alone = PermutationGroup._from_images0(4, np.array(table))
+            assert g.images0.tolist() == alone.images0.tolist()
+            assert g.images0.dtype == np.int64 and not g.images0.flags.writeable
+            views += g.images0.base is groups[5].images0.base  # groups[5]: pool 0, 1, 2
+        assert views == 6  # the six tuples of three distinct rows view one array
+        empty = PermutationGroup._batch_from_images0(5, np.empty((2, 0, 5), dtype=np.int64))
+        assert [g.images0.shape for g in empty] == [(0, 5), (0, 5)]
+
     @pytest.mark.parametrize("n, count", [(200, 300), (7778, 100)])
     def test_prime_cycle_matches_walk_on_sampled_words(self, n, count):
         g = _b_side_group(6, n, n)
@@ -112,30 +155,43 @@ class TestArrayGroup:
         found = 0
         for _ in range(count):
             word = g._word_element(rng, 100)
-            p = g._prime_cycle(word)
+            p = int(_row_primes(word[None])[0]) or None  # one block
             assert p == prime_cycle_by_walk(word.tolist())
             found += p is not None
         assert found  # some words certify
 
-    @pytest.mark.parametrize(
-        "degree, lengths, expected",
-        [
-            (24, (7, 14), None),  # p divides another length
-            (20, (5, 5, 3), 3),  # two 5-cycles; 3 divides nothing else
-            (20, (5, 5), None),
-            (10, (7,), 7),  # p = d - 3
-            (9, (7,), None),  # p = d - 2
-            (9, (5, 2), 5),
-            (30, (11, 13, 2, 4), 13),  # the largest p wins
-            (60, (11, 13, 26), 11),
-            (12, (), None),  # the identity
-        ],
-    )
+    @pytest.mark.parametrize("degree, lengths, expected", CRAFTED_CYCLE_TYPES)
     def test_prime_cycle_on_crafted_cycle_types(self, degree, lengths, expected):
         perm = _from_cycle_type(degree, lengths)
         img0 = [v - 1 for v in perm.images]
         assert prime_cycle_by_walk(img0) == expected
-        assert PermutationGroup(degree, [perm])._prime_cycle(np.array(img0)) == expected
+        assert (int(_row_primes(np.array([img0]))[0]) or None) == expected
+
+    @pytest.mark.parametrize("degree", sorted({case[0] for case in CRAFTED_CYCLE_TYPES}))
+    def test_isolated_primes_of_stacked_crafted_cycle_types(self, degree):
+        # every crafted cycle type that fits in the degree, as one block of one permutation
+        types = [lengths for _, lengths, _ in CRAFTED_CYCLE_TYPES if sum(lengths) <= degree]
+        blocks = [[v - 1 for v in _from_cycle_type(degree, lengths).images] for lengths in types]
+        stacked = (np.array(blocks) + np.arange(0, len(blocks) * degree, degree)[:, None]).ravel()
+        minima, lengths = _cycles(stacked, degree)
+        got = _isolated_primes(minima // degree, lengths, len(blocks), degree).tolist()
+        assert got == [prime_cycle_by_walk(block) or 0 for block in blocks]
+        for d, lengths, expected in CRAFTED_CYCLE_TYPES:
+            if d == degree:
+                assert got[types.index(lengths)] == (expected or 0)
+
+    def test_isolated_primes_of_stacked_words(self):
+        stack = _block_stack([_b_side_group(6, 200, seed) for seed in range(30)])
+        rng = RngState(5)
+        found = 0
+        for _ in range(20):
+            word = stack._word_element(rng, 100)
+            minima, lengths = _cycles(word, 200)
+            got = _isolated_primes(minima // 200, lengths, 30, 200).tolist()
+            blocks = (word.reshape(30, 200) - np.arange(0, 6000, 200)[:, None]).tolist()
+            assert got == [prime_cycle_by_walk(block) or 0 for block in blocks]
+            found += sum(map(bool, got))
+        assert found  # some blocks have an isolated prime
 
     def test_parity_matches_permutation_parity(self):
         rng = RngState(17)
@@ -179,17 +235,16 @@ class TestArrayGroup:
 
     @pytest.mark.parametrize("lowered", [False, True])
     def test_word_element_draws_as_the_scalar_loop(self, monkeypatch, lowered):
-        # lowered: about one draw in 16 is rejected; the limit is read at call time
-        real = rng_module.rejection_limit
-        if lowered:
-            monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
+        # lowered: about one draw in 16 is rejected
         g = _b_side_group(6, 200, 11)
+        rejected = lower_rejection_limits(monkeypatch) if lowered else []
         rows = g.images0.tolist()
         rng, scalar = RngState(23), RngState(23)
         for _ in range(200):
             word = g._word_element(rng, 100)
             assert word.tolist() == word_by_scalar_loop(rows, scalar, 100)
             assert rng.index == scalar.index
+        assert any(rejected) == lowered  # the block draw's rejection branch ran
 
     @staticmethod
     def _word_cases():
@@ -209,9 +264,7 @@ class TestArrayGroup:
 
     @pytest.mark.parametrize("lowered", [False, True])
     def test_reduced_word_equals_the_scalar_loop(self, monkeypatch, lowered):
-        real = rng_module.rejection_limit
-        if lowered:
-            monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
+        rejected = lower_rejection_limits(monkeypatch) if lowered else []
         identities = 0
         for g, flags in self._word_cases():
             rows = g.images0.tolist()
@@ -222,6 +275,7 @@ class TestArrayGroup:
                 assert rng.index == scalar.index
                 identities += word.tolist() == list(range(g.degree))
         assert identities  # some words cancelled whole
+        assert any(rejected) == lowered
 
     def test_word_element_rejection_branch_runs(self, monkeypatch):
         calls = []
@@ -235,8 +289,7 @@ class TestArrayGroup:
         g = _b_side_group(6, 200, 11)
         g._word_element(RngState(23), 100)
         assert calls == [100]  # the block path draws only the length
-        limit = rng_module.rejection_limit
-        monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: limit(bound) - (1 << 63))
+        lower_rejection_limits(monkeypatch, by=1 << 63)
         calls.clear()
         rng = RngState(23)
         while len(calls) < 2:
@@ -824,20 +877,46 @@ class TestJordanStack:
             for g in batch
         ]
 
+    def test_primitivity_fallback_after_the_stack_narrows(self):
+        # groups of one (4, 130) shape: random generators (Sym(130)) and random
+        # elements of Sym(5) wr Sym(26), which is imprimitive
+        rng = RngState(41)
+        symmetric = [group(130, *[_random_perm(130, rng) for _ in range(4)]) for _ in range(12)]
+        rng = RngState(7)
+        wreaths = [
+            group(130, *[_random_wreath_element(5, 26, rng) for _ in range(4)]) for _ in range(12)
+        ]
+
+        def first_prime(g):
+            rows = g.images0.tolist()
+            return prime_cycle_by_walk(word_by_scalar_loop(rows, RngState(_JORDAN_SEED), 100))
+
+        leaving = [g for g in symmetric if (first_prime(g) or 0) > 65]
+        small = [g for g in symmetric if 0 < (first_prime(g) or 0) <= 65]
+        none = [g for g in symmetric if first_prime(g) is None]
+        small_wreaths = [g for g in wreaths if first_prime(g)]
+        assert len(leaving) >= 2 and len(small) >= 2 and none and len(small_wreaths) >= 2
+        # blocks leave on word 0 ahead of the blocks the fallback decides
+        batch = [
+            leaving[0], small[0], small_wreaths[0], leaving[1], none[0], small_wreaths[1], small[1]
+        ]
+        assert {g.images0.shape for g in batch} == {(4, 130)}
+        assert _stack_equals_word_loop(batch, words=1) == [True, True, None, True, None, None, True]
+        assert [g._primitive for g in batch] == [None, True, False, None, None, False, True]
+
     @pytest.mark.parametrize("lowered", [False, True])
     def test_explicit_rng_draws_as_the_word_loop(self, monkeypatch, lowered):
-        # lowered: about one draw in 16 is rejected; the limit is read at call time
-        real = rng_module.rejection_limit
-        if lowered:
-            monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
+        # lowered: about one draw in 16 is rejected
         groups = [_b_side_group(6, 200, seed) for seed in range(6)]
         groups += [_symmetric(40), group(130, *_wreath(2, 65))]
+        rejected = lower_rejection_limits(monkeypatch) if lowered else []
         for seed, g in enumerate(groups):
             rng, scalar = RngState(seed), RngState(seed)
             fresh = PermutationGroup._from_images0(g.degree, g.images0)
             got = g.contains_alternating("jordan", rng=rng, words=30)
             assert got == contains_alternating_by_word_loop(fresh, scalar, 30, 100)
             assert rng.index == scalar.index
+        assert any(rejected) == lowered
 
     def test_explicit_rng_serves_one_group(self):
         groups = [_b_side_group(6, 200, seed) for seed in range(2)]
@@ -845,6 +924,67 @@ class TestJordanStack:
             _alternating_by_jordan(groups, RngState(1), 10, 100)
         with pytest.raises(UsageError):
             _classify_groups(groups, "jordan", rng=RngState(1))
+
+
+class TestSharedStack:
+    """One block-diagonal stack per shape: transitivity, parity and the Jordan words read it."""
+
+    @staticmethod
+    def _batch():
+        sampled = [_b_side_group(6, 200, seed) for seed in range(100, 130)]
+        # an intransitive block of the sampled shape, and a second shape
+        return sampled + [_halves_tuple_group(200, 5), _symmetric(40), _symmetric(30)]
+
+    def test_one_stack_per_shape_however_many_blocks_certify(self, monkeypatch):
+        stacked = []
+        real = permgroup._block_stack
+
+        def counted(groups):
+            stacked.append(groups[0].images0.shape)
+            return real(groups)
+
+        monkeypatch.setattr(permgroup, "_block_stack", counted)
+        batch = self._batch()
+        got = _alternating_by_jordan(batch, None, DEFAULT_JORDAN_WORDS, DEFAULT_JORDAN_WORD_LEN)
+        assert sorted(stacked) == [(2, 30), (2, 40), (6, 200)]
+        # the sampled blocks certify on several different words
+        certifying = set()
+        for g in batch[:30]:
+            rows, rng = g.images0.tolist(), RngState(_JORDAN_SEED)
+            for j in range(DEFAULT_JORDAN_WORDS):
+                p = prime_cycle_by_walk(word_by_scalar_loop(rows, rng, DEFAULT_JORDAN_WORD_LEN))
+                if p and 2 * p > 200:
+                    certifying.add(j)
+                    break
+        assert len(certifying) > 3 and got[:30].count(True) > 20
+        stacked.clear()
+        fresh = [PermutationGroup._from_images0(g.degree, g.images0) for g in self._batch()]
+        classified = _classify_groups(fresh, "jordan")
+        assert sorted(stacked) == [(2, 30), (2, 40), (6, 200)]
+        assert [c.contains_alternating for c in classified] == got
+
+    def test_odd_generators_match_permutation_parity(self):
+        rng = RngState(19)
+        groups = []
+        while len(groups) < 40:
+            # each row an involution, of either parity, or a random permutation
+            gens = [
+                _random_involution(12, rng) if rng.randbelow(2) else _random_perm(12, rng)
+                for _ in range(3)
+            ]
+            if len(PermutationGroup(12, gens).images0) == 3:
+                groups.append(PermutationGroup(12, gens))
+        flags = [_involution_rows(g.images0) for g in groups]
+        for r in range(3):
+            assert 0 < sum(f[r] for f in flags) < len(groups)  # mixed rows
+        first, second = (
+            group(7, cyc(7, (1, 2), (3, 4)), cyc(7, (1, 2, 3, 4, 5, 6, 7))),
+            group(7, cyc(7, (1, 2, 3, 4, 5, 6, 7)), cyc(7, (5, 6))),
+        )
+        for members, d in ((groups, 12), ([first, second], 7), (groups[:1], 12)):
+            expected = [any(p.parity() == 1 for p in g.generators) for g in members]
+            assert _odd_generators(_block_stack(members), d) == expected
+        assert _odd_generators(_block_stack([first, second]), 7) == [False, True]
 
 
 class TestClassify:

@@ -12,7 +12,6 @@ import pytest
 
 import bmwgroups.permgroup as permgroup
 import bmwgroups.randmodel as randmodel
-import bmwgroups.rng as rng_module
 from bmwgroups import formats
 from bmwgroups.errors import (
     ArityError,
@@ -47,6 +46,7 @@ from bmwgroups.randmodel import (
 from bmwgroups.rng import RngState
 from bmwgroups.structure import StructureSet
 
+from .lowered import lower_rejection_limits
 from .oracles import (
     certificates_by_tuple,
     edge_colours_by_pairings,
@@ -160,9 +160,8 @@ class TestBlockSampler:
             assert self._draw_both(m, n, root.derive(t).seed, 7 * t) == m * (n // 2)
 
     def test_equals_scalar_loop_on_the_rejection_branch(self, monkeypatch):
-        # about one draw in 16 is rejected; the limit is read at call time
-        real = rng_module.rejection_limit
-        monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
+        # about one draw in 16 is rejected
+        lower_rejection_limits(monkeypatch)
         root = RngState(405)
         advances = []
         for m, n, trials in ((1, 2, 50), (3, 10, 50), (12, 40, 50), (6, 200, 50), (6, 7778, 2)):
@@ -522,6 +521,34 @@ class TestWhiteBall:
                     10, edges, radius
                 )
 
+    @pytest.mark.parametrize(
+        "m, n, count, widths", [(6, 20, 40, {1, 2, 4}), (12, 64, 6, {8}), (20, 100, 4, {16})]
+    )
+    def test_word_wide_rows_match_bfs_oracle(self, m, n, count, widths):
+        # each tuple's bitset rows take 1, 2, 4 bytes or a multiple of 8
+        root = RngState(9)
+        tuples = [sample_tuple(m, n, root.derive(t)) for t in range(count)]
+        seen, expected = set(), []
+        for tup in tuples:
+            g = match_graph(tup)
+            endpoints = {x for edge in g.black_edges() for x in edge}
+            seen.add(randmodel._row_bytes(len(endpoints)))
+            edges = edge_colours_by_pairings(tup)
+            expected.append([white_ball_exists_by_bfs(n, edges, r) for r in (1, 6)])
+            assert [white_ball_vertex(g, r) for r in (1, 6)] == expected[-1]
+        assert seen == widths
+        # the tuples together, their rows as wide as the widest tuple's
+        images = np.stack([t.images for t in tuples])
+        edges = randmodel._black_edges(images, randmodel._agreeing_pairs(images)[0])
+        together = [randmodel._white_balls(images, edges, r) for r in (1, 6)]
+        assert [list(pair) for pair in zip(*together)] == expected
+
+    def test_row_bytes_are_whole_words(self):
+        widths = [randmodel._row_bytes(bits) for bits in range(1, 200)]
+        assert sorted(set(widths)) == [1, 2, 4, 8, 16, 24, 32]
+        assert all(8 * w >= bits for bits, w in zip(range(1, 200), widths))
+        assert randmodel._row_bytes(33) == 8 and randmodel._row_bytes(65) == 16
+
     def test_negative_radius_rejected(self):
         g = match_graph(EXAMPLE)
         with pytest.raises(RangeError):
@@ -784,6 +811,31 @@ class TestBatchFront:
                 seen["no white ball"] += rep.white_ball_vertex is None
                 seen["white ball at 1"] += rep.white_ball_vertex == 1
         assert len(seen) == 7 and all(seen.values()), seen
+
+    def test_b_side_groups_equal_the_one_table_constructor(self, monkeypatch):
+        # (3, 4): every tuple, many with repeated rows; (6, 200): sampled tuples
+        pool = np.array([e.images for e in enumerate_fpf(4)])
+        enumerated = pool[np.array(list(itertools.product(range(3), repeat=3)))]
+        root = RngState(6)
+        sampled = np.stack([sample_tuple(6, 200, root.derive(t)).images for t in range(20)])
+        built = []
+        mark = randmodel._mark_transitive
+
+        def recorded(groups):
+            built.append(list(groups))
+            return mark(groups)
+
+        monkeypatch.setattr(randmodel, "_mark_transitive", recorded)
+        for images in (enumerated, sampled):
+            built.clear()
+            randmodel._certificates(images, 6)
+            (groups,) = built
+            n = images.shape[2]
+            for g, table in zip(groups, images):
+                assert g.images0.tolist() == PermutationGroup._from_images0(n, table - 1).images0.tolist()
+                assert not g.images0.flags.writeable
+        repeated = [len(set(map(tuple, t.tolist()))) < 3 for t in enumerated]
+        assert 0 < sum(repeated) < len(enumerated)
 
     def test_pieces_of_any_size_give_equal_reports(self, monkeypatch):
         for m, n, trials in ((6, 8, 327), (6, 200, 218)):
@@ -1140,8 +1192,7 @@ class TestRejectionBranch:
     """
 
     def test_batch_rows_equal_sample_tuple(self, monkeypatch):
-        real = rng_module.rejection_limit
-        monkeypatch.setattr(rng_module, "rejection_limit", lambda bound: real(bound) - (1 << 60))
+        lower_rejection_limits(monkeypatch)
         rng = RngState(2024)
         for m, n, first in ((3, 6, 0), (4, 8, 5000)):
             trials = 300

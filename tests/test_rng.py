@@ -116,7 +116,7 @@ def test_derived_seeds_are_the_derive_seeds():
         root.derived_seeds(0, -1)
 
 
-STREAM_INTERNALS = {"rejection_limit", "raw_block", "mix64", "mix64_array", "GAMMA"}
+STREAM_INTERNALS = {"rejection_limit", "_TOP", "raw_block", "mix64", "mix64_array", "GAMMA"}
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bmwgroups"
 
 
