@@ -121,10 +121,12 @@ class InvolutionTuple:
 
 def _fpf_rows(table: np.ndarray) -> bool:
     """Whether every row of a 1-based image table is a fixed-point-free involution."""
-    points = np.arange(1, table.shape[1] + 1)
-    if table.min() < 1 or table.max() > len(points):
+    rows, n = table.shape
+    points = np.arange(1, n + 1)
+    if table.min() < 1 or table.max() > n:
         return False
-    back = np.take_along_axis(table, table - 1, axis=1)
+    # row r's image of point k sits at flat position r * n + k - 1
+    back = table.reshape(-1).take(table + (np.arange(rows) * n - 1)[:, None])
     return bool((back == points).all() and (table != points).all())
 
 
@@ -203,34 +205,39 @@ def sample_tuple_images_batch(
     scalar tuple for trial ``first_trial + t`` on every branch.  One pass per
     coordinate draws every trial's words by
     :func:`~bmwgroups.rng.randbelow_draft` and swaps the slots of all trials
-    at once, in one ``(n, count)`` slot array: slot ``i`` of trial ``t``
-    sits at flat position ``i * count + t``.  The pairs are then scattered
-    straight into the output.  A trial whose draws hit the rejection branch
-    in any coordinate shifts the draws of the later coordinates, so it is
-    recomputed whole with :func:`sample_tuple`.
+    at once, in one trial-major ``(count, n)`` slot array: slot ``i`` of
+    trial ``t`` sits at flat position ``t * n + i``, so each trial's shuffle
+    stays in its own contiguous row (Sanders, IPL 1998).  The draws become
+    flat slot targets in place, and the pairs are then scattered straight
+    into the output, each row into its trial's own block.  A trial whose
+    draws hit the rejection branch in any coordinate shifts the draws of the
+    later coordinates, so it is recomputed whole with :func:`sample_tuple`.
     """
     _check_shape(m, n)
     seeds = rng.derived_seeds(first_trial, count)
     steps = n // 2
     bounds = np.arange(n - 1, 0, -2)
-    trials = np.arange(count)
+    anchors = np.arange(1, n, 2)
+    row_starts = np.arange(count)[:, None] * n
     out = np.empty((count, m, n), dtype=np.int64)
     flat_out = out.reshape(-1)  # out[t, c, i] is flat_out[(t * m + c) * n + i]
     rejected = np.zeros(count, dtype=bool)
-    slots = np.empty(n * count, dtype=np.int64)
-    rows = slots.reshape(n, count)
+    slots = np.empty(count * n, dtype=np.int64)
+    grid = slots.reshape(count, n)
     for c in range(m):
         draws, hit = randbelow_draft(seeds, c * steps, bounds)
         rejected |= hit
-        rows[:] = np.arange(n)[:, None]
-        for a, drawn in zip(range(1, n, 2), draws.T):
-            at = (drawn + a) * count + trials
+        draws += anchors  # step s swaps slot a = 2 s + 1 with slot a + drawn
+        draws += row_starts
+        draws = draws.T.copy()  # step s's targets in one contiguous row
+        grid[:] = np.arange(n)
+        for a, at in zip(anchors.tolist(), draws):
             partner = slots.take(at)
-            slots[at] = rows[a]
-            rows[a] = partner
-        start = (trials * m + c) * n
-        flat_out[rows[0::2] + start] = rows[1::2] + 1
-        flat_out[rows[1::2] + start] = rows[0::2] + 1
+            slots[at] = grid[:, a]
+            grid[:, a] = partner
+        starts = row_starts * m + c * n  # (t * m + c) * n
+        flat_out[grid[:, 0::2] + starts] = grid[:, 1::2] + 1
+        flat_out[grid[:, 1::2] + starts] = grid[:, 0::2] + 1
     for t in np.nonzero(rejected)[0]:
         out[t] = sample_tuple(m, n, rng.derive(first_trial + int(t))).images
     return out
@@ -969,10 +976,11 @@ _STATISTICS = {
     "overlap_rate": _has_overlap,
 }
 
-# At most B trials per batch: at (6, 200) the sampler's (n, B) int64 slot
-# array is then 0.8 MB and stays in a 2 MiB L2 through all m n / 2 step
-# passes, and the statistic reads the 4.9 MB batch while it is still warm.
-# Eight times as many trials miss L2 on every pass and scatter.
+# At most B trials per batch: at (6, 200) the sampler's trial-major (B, n)
+# int64 slot array is then 0.8 MB and stays in a 2 MiB L2 through all
+# m n / 2 step passes, and the statistic reads the 4.9 MB batch while it is
+# still warm.  Eight times as many trials miss L2 on every pass and scatter;
+# 1024 were slower per trial and 256 no faster.
 _CHUNK = 512
 # at most B m n image entries (64 MiB) per batch, n x endpoints per white-ball block
 _CHUNK_ENTRIES = 1 << 23

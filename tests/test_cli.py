@@ -573,11 +573,16 @@ class TestMc:
              "9bedae6251d32033d38f5840ca76112407e2ea046c5273bfc32cc74b1efa30fd"),
             (("--kind", "orbit_share"),
              "ae141aca16ec767a7abe41399183df025ccb93fb8866f9912b1bb26d660335b2"),
+            (("--kind", "triple_matching_rate", "--m", "6"),
+             "e35211e10d5e589e86813926e4e9b82d773c1a6a23924b1239375d53b6201e38"),
+            (("--kind", "overlap_rate", "--m", "6"),
+             "0feb7f448e64ca3e0c2add5fd54c048a71b413c766c264ea235e0925d0d6ec45"),
         ],
     )
     def test_batched_kind_bytes_pinned(self, capsys, args, digest):
-        # 1500 trials at (6, 200) span three 512-trial batches; the digests are
-        # those of the same trials drawn as one 4096-trial batch
+        # 1500 trials at (6, 200) span three 512-trial batches; the first two
+        # digests are those of the same trials drawn as one 4096-trial batch,
+        # the last two were recorded with the (n, B) slot layout
         code, out, _err = run(capsys, "mc", *args, "--n", "200", "--trials", "1500", "--seed", "0")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

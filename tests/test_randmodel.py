@@ -1095,7 +1095,8 @@ class TestMonteCarlo:
         assert batch.shape[1:] == (2, 20000)
         assert 1 <= len(batch) and batch.nbytes <= 64 * 2**20
         # at the benchmark's (6, 200) a batch holds 512 trials: the sampler's
-        # (200, 512) slot array (0.8 MB) then stays in a 2 MiB L2 cache
+        # (512, 200) trial-major slot array (0.8 MB) then stays in a 2 MiB L2
+        # cache, each trial's shuffle in its own 1.6 KB row
         assert len(next(_image_batches(6, 200, 5000, RngState(0)))) == 512
         assert len(next(_image_batches(3, 4, 0, RngState(0)))) == 27
 
@@ -1210,7 +1211,15 @@ class TestBatchSampler:
     """Row t of ``sample_tuple_images_batch`` is ``sample_tuple(m, n, rng.derive(first + t))``."""
 
     @pytest.mark.parametrize(
-        "m, n, first, count", [(1, 2, 0, 40), (3, 4, 7, 60), (2, 10, 500, 60), (4, 36, 3, 30)]
+        "m, n, first, count",
+        [
+            (1, 2, 0, 40),
+            (3, 4, 7, 60),
+            (2, 10, 500, 60),
+            (4, 36, 3, 30),
+            (6, 200, 0, 512),  # one full batch at the benchmark's shape
+            (2, 20000, 11, 2),  # trial rows far apart in the slot array
+        ],
     )
     def test_rows_equal_sample_tuple(self, m, n, first, count):
         rng = RngState(31)
@@ -1218,6 +1227,24 @@ class TestBatchSampler:
         assert imgs.shape == (count, m, n)
         for t in range(count):
             assert imgs[t].tolist() == sample_tuple(m, n, rng.derive(first + t)).images.tolist()
+
+    def test_batch_bytes_pinned(self):
+        # recorded with the (n, B) slot layout the trial-major one replaced
+        imgs = sample_tuple_images_batch(6, 200, RngState(0), 0, 512)
+        assert hashlib.sha256(imgs.tobytes()).hexdigest() == (
+            "8a6792213f96d33c38ed6845b2f943079e0f74830115d8fc6c29ee478f00b0a1"
+        )
+
+    def test_peak_memory(self):
+        # the output (64 MiB), the slots (32 MiB), one coordinate's draws and
+        # the pair scatter's temporaries: 143.9 MiB when pinned, plus 5 %
+        tracemalloc.start()
+        try:
+            sample_tuple_images_batch(2, 20000, RngState(0), 0, 209)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 151 * 2**20
 
     def test_no_coordinates_is_refused(self):
         with pytest.raises(ArityError, match="^m must be positive$"):
