@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import formats, radu, randmodel, structure
@@ -37,29 +36,6 @@ EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-
-
-@dataclass
-class RunConfig:
-    """Parsed flag set for one invocation."""
-
-    command: str
-    m: Optional[int] = None
-    n: Optional[int] = None
-    seed: int = 0
-    trials: int = 0
-    count: int = 1
-    radius: int = randmodel.DEFAULT_BALL_RADIUS
-    kind: Optional[str] = None
-    up_to_relabeling: bool = False
-    verify: bool = False
-    filler_seed: Optional[int] = None
-    fmt: str = "text"
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    census_guard: int = structure.DEFAULT_CENSUS_GUARD
-    order_guard: int = DEFAULT_ORDER_GUARD
-    enumeration_limit: int = randmodel.DEFAULT_ENUMERATION_LIMIT
 
 
 def _env_int(name: str, default: int) -> int:
@@ -84,11 +60,11 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    if cfg.n is None or cfg.n < 2 or cfg.n % 2:
+def cmd_sample(cfg: argparse.Namespace) -> int:
+    if cfg.n < 2 or cfg.n % 2:
         _note("error: --n must be even and at least 2")
         return EXIT_USAGE
-    if cfg.m is None or cfg.m < 1 or cfg.count < 1:
+    if cfg.m < 1 or cfg.count < 1:
         _note("error: --m and --count must be positive")
         return EXIT_USAGE
     _note(f"seed: {cfg.seed}")
@@ -107,7 +83,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(cfg: argparse.Namespace) -> int:
     try:
         with open(cfg.input_path) as fh:
             doc = json.load(fh)
@@ -120,8 +96,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK if report.hji_certified else EXIT_NOT_CERTIFIED
 
 
-def cmd_census(cfg: RunConfig) -> int:
-    if cfg.m is None or cfg.n is None or cfg.m < 1 or cfg.n < 1:
+def cmd_census(cfg: argparse.Namespace) -> int:
+    if cfg.m < 1 or cfg.n < 1:
         _note("error: --m and --n must be positive")
         return EXIT_USAGE
     if cfg.up_to_relabeling:
@@ -142,8 +118,8 @@ def cmd_census(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_s0(cfg: RunConfig) -> int:
-    if cfg.m is None or cfg.m < radu.MIN_M or cfg.n is None or cfg.n < radu.MIN_N:
+def cmd_s0(cfg: argparse.Namespace) -> int:
+    if cfg.m < radu.MIN_M or cfg.n < radu.MIN_N:
         _note(f"error: requires --m >= {radu.MIN_M} and --n >= {radu.MIN_N}")
         return EXIT_USAGE
     filler = None
@@ -171,12 +147,9 @@ def cmd_s0(cfg: RunConfig) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_NOT_CERTIFIED
 
 
-def cmd_mc(cfg: RunConfig) -> int:
+def cmd_mc(cfg: argparse.Namespace) -> int:
     if cfg.kind not in randmodel.MC_KINDS:
         _note(f"error: --kind must be one of {', '.join(randmodel.MC_KINDS)}")
-        return EXIT_USAGE
-    if cfg.n is None:
-        _note("error: --n is required")
         return EXIT_USAGE
     _note(f"seed: {cfg.seed}")
     result = randmodel.monte_carlo(
@@ -254,15 +227,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    cfg = RunConfig(command=args.command)
-    for name in vars(args):
-        if hasattr(cfg, name):
-            setattr(cfg, name, getattr(args, name))
     try:
-        cfg.census_guard = _env_int("BMWGROUPS_CENSUS_GUARD", cfg.census_guard)
-        cfg.order_guard = _env_int("BMWGROUPS_ORDER_GUARD", cfg.order_guard)
-        cfg.enumeration_limit = _env_int("BMWGROUPS_ENUM_LIMIT", cfg.enumeration_limit)
-        return _HANDLERS[cfg.command](cfg)
+        # the namespace is the run's config; the guards come from the environment
+        args.census_guard = _env_int("BMWGROUPS_CENSUS_GUARD", structure.DEFAULT_CENSUS_GUARD)
+        args.order_guard = _env_int("BMWGROUPS_ORDER_GUARD", DEFAULT_ORDER_GUARD)
+        args.enumeration_limit = _env_int(
+            "BMWGROUPS_ENUM_LIMIT", randmodel.DEFAULT_ENUMERATION_LIMIT
+        )
+        return _HANDLERS[args.command](args)
     except ResourceError as exc:
         _note(f"resource guard: {exc}")
         return EXIT_GUARD

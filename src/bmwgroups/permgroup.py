@@ -809,10 +809,8 @@ def _alternating_by_jordan(
                 g._transitive = t
         if odd is not None:
             odd.update(zip(map(id, members), _odd_generators(stack, d)))
-        if not k:
-            found = [d <= 2] * len(members)  # Alt(d) is trivial only for d <= 2
-        elif d < 5:
-            found = [g.order() >= math.factorial(d) // 2 for g in members]
+        if not k or d < 5:
+            found = [g.contains_alternating("exact") for g in members]
         else:
             transitive = [g._transitive for g in members]
             found = [None if t else False for t in transitive]

@@ -235,6 +235,7 @@ def sample_tuple_images_batch(
             partner = slots.take(at)
             slots[at] = grid[:, a]
             grid[:, a] = partner
+        del draws, at  # free this coordinate's targets before the pair scatter
         starts = row_starts * m + c * n  # (t * m + c) * n
         flat_out[grid[:, 0::2] + starts] = grid[:, 1::2] + 1
         flat_out[grid[:, 1::2] + starts] = grid[:, 0::2] + 1
@@ -921,7 +922,7 @@ class McResult:
     bounds: dict = field(default_factory=dict)
 
     def primary(self) -> McStat:
-        return self.stats[_PRIMARY_STAT[self.kind]]
+        return self.stats[_STATISTICS[self.kind][0]]
 
     def to_dict(self) -> dict:
         return {
@@ -939,14 +940,6 @@ class McResult:
             "exact_repr": dict(self.exact_repr),
             "bounds": dict(self.bounds),
         }
-
-
-_PRIMARY_STAT = {
-    "orbit_share": "share_probability",
-    "expected_M": "mean_shared_orbits",
-    "triple_matching_rate": "rate",
-    "overlap_rate": "rate",
-}
 
 
 # Per-tuple statistics of the batched kinds, each over a (B, m, n) image
@@ -969,11 +962,11 @@ def _has_overlap(imgs: np.ndarray) -> np.ndarray:
     return (_agreeing_pairs(imgs)[0] >= 2).any(axis=1)
 
 
-_STATISTICS = {
-    "orbit_share": _shares_orbit,
-    "expected_M": _shared_orbit_count,
-    "triple_matching_rate": _has_triple_matching,
-    "overlap_rate": _has_overlap,
+_STATISTICS = {  # kind -> (estimand name, column)
+    "orbit_share": ("share_probability", _shares_orbit),
+    "expected_M": ("mean_shared_orbits", _shared_orbit_count),
+    "triple_matching_rate": ("rate", _has_triple_matching),
+    "overlap_rate": ("rate", _has_overlap),
 }
 
 # At most B trials per batch: at (6, 200) the sampler's trial-major (B, n)
@@ -1031,6 +1024,21 @@ def _certificate_flags(rep: CertificateReport) -> dict:
     }
 
 
+def _certificate_rates(imgs: np.ndarray, radius: int, order_guard: int) -> dict:
+    """One bool column per certificate flag of a ``(B, m, n)`` batch."""
+    _, m, n = imgs.shape
+    # At most _CHUNK_ENTRIES / 64 generator entries (1 MiB) per B-side
+    # stack keep its temporaries below the sampler's.
+    piece = max(1, _CHUNK_ENTRIES // 64 // (m * n))
+    rows = []
+    for first in range(0, len(imgs), piece):
+        part = imgs[first:first + piece]
+        if not _fpf_rows(part.reshape(-1, n)):
+            raise _row_fault(part.reshape(-1, n))
+        rows += map(_certificate_flags, _certificates(part, radius, order_guard=order_guard))
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
 def _attach_closed_forms(result: McResult, kind: str, m: Optional[int], n: int) -> None:
     if kind == "orbit_share":
         exact = exact_orbit_share_prob(n)
@@ -1072,8 +1080,13 @@ def monte_carlo(
     ``enumeration_limit``).  Sampling mode derives one rng substream per
     trial from ``(seed, trial index)``, so results do not depend on batching
     or scheduling; the passed state itself is never advanced.
-    ``order_guard`` reaches every :func:`irr_certificate` of
-    ``certificate_rates``.
+
+    Every kind is a batch statistic mapping one ``(B, m, n)`` batch to named
+    columns: a batched kind's estimand (``_STATISTICS``), or one bool column
+    per ``certificate_rates`` flag.  One loop concatenates and reduces them
+    in both modes, so no batch outlives its statistic and memory is flat in
+    the trials but for the columns.  ``radius`` and ``order_guard`` reach
+    every :func:`irr_certificate` of ``certificate_rates``.
     """
     if kind not in MC_KINDS:
         raise UsageError(f"unknown kind {kind!r}; expected one of {MC_KINDS}")
@@ -1100,25 +1113,16 @@ def monte_carlo(
     else:
         result = McResult(kind, m, n, trials, rng.seed, "sampling")
 
-    batches = _image_batches(m_eff, n, trials, rng)
-    if kind == "certificate_rates":
-        # At most _CHUNK_ENTRIES / 64 generator entries (1 MiB) per B-side
-        # stack keep its temporaries below the sampler's.
-        piece = max(1, _CHUNK_ENTRIES // 64 // (m_eff * n))
-        rows = []
-        for imgs in batches:
-            for first in range(0, len(imgs), piece):
-                part = imgs[first:first + piece]
-                if not _fpf_rows(part.reshape(-1, n)):
-                    raise _row_fault(part.reshape(-1, n))
-                reports = _certificates(part, radius, order_guard=order_guard)
-                rows += map(_certificate_flags, reports)
-            del imgs, part  # free the batch before the next one is drawn
-        columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
-    else:
-        # map drops each batch before the next one is drawn
-        columns = {_PRIMARY_STAT[kind]: np.concatenate(list(map(_STATISTICS[kind], batches)))}
-    for name, values in columns.items():
+    def statistic(imgs: np.ndarray) -> dict:
+        if kind == "certificate_rates":
+            return _certificate_rates(imgs, radius, order_guard)
+        estimand, column = _STATISTICS[kind]
+        return {estimand: column(imgs)}
+
+    # map drops each batch before the next one is drawn, and no column refers to it
+    parts = list(map(statistic, _image_batches(m_eff, n, trials, rng)))
+    for name in parts[0]:
+        values = np.concatenate([part[name] for part in parts])
         if trials == 0:
             frac = Fraction(int(values.sum()), len(values))
             result.stats[name] = McStat(float(frac), 0.0)

@@ -1110,6 +1110,19 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_certificate_rates_memory_is_flat_in_the_trials(self):
+        # a batch's flags are columns freed with it: one 12-key dict per trial
+        # kept to the end grew the peak by 0.50 MiB from 600 to 1,800 trials
+        peaks = []
+        for trials in (600, 1800):
+            tracemalloc.start()
+            try:
+                monte_carlo("certificate_rates", 6, 200, trials, RngState(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.2 * 2**20
+
     @pytest.mark.parametrize(
         "kind, n, trials, per_batch, blocks",
         [
@@ -1236,15 +1249,16 @@ class TestBatchSampler:
         )
 
     def test_peak_memory(self):
-        # the output (64 MiB), the slots (32 MiB), one coordinate's draws and
-        # the pair scatter's temporaries: 143.9 MiB when pinned, plus 5 %
+        # the output (64 MiB), the slots (32 MiB) and the pair scatter's
+        # temporaries, the coordinate's draws freed before it: 128.0 MiB when
+        # pinned (143.9 with the draws alive), plus 5 %
         tracemalloc.start()
         try:
             sample_tuple_images_batch(2, 20000, RngState(0), 0, 209)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 151 * 2**20
+        assert peak < 135 * 2**20
 
     def test_no_coordinates_is_refused(self):
         with pytest.raises(ArityError, match="^m must be positive$"):
