@@ -30,16 +30,17 @@ Past the exact route, Alt(d) is recognized by Jordan's theorem from random
 words in the generators (Seress, *Permutation Group Algorithms*, 2003,
 10.2).  Without an explicit rng the words come from one fixed stream, so
 word j is the same in every group with k generators.  Groups of one (k, d)
-shape are therefore classified together on their block-diagonal stack, a
-group of degree B*d whose row r is every group's row r, block b shifted by
-b*d.  The stack is built once per shape, and transitivity, generator
-parity and the Jordan words all read it.  Each word is composed once on
-the stack, and one pass of the isolated-prime rule reads every block's
-cycles.  A block whose word certifies leaves the stack: a boolean mask
-narrows the stack's (k, B, d) view and the blocks kept shift down, with no
-rebuild from the groups.  An involution's parity is read from the number
-of points it moves, so only the other rows have their cycles counted.  A
-group alone is a stack of one.
+shape are therefore classified together, by :func:`_classify_groups`, on
+their block-diagonal stack: a read-only (k, B*d) int64 table whose row r is
+every group's row r, block b shifted by b*d.  The stack is built once per
+shape, and transitivity, generator parity and the Jordan words all read
+it.  :func:`_word` composes each word once on the stack, and one pass of
+the isolated-prime rule reads every block's cycles.  A block whose word
+certifies leaves the stack: a boolean mask narrows the stack's (k, B, d)
+view and the blocks kept shift down, with no rebuild from the groups.  An
+involution's parity is read from the number of points it moves, so only
+the other rows have their cycles counted.  The stack of one group is its
+``images0``.
 
 Group analyses cache write-once on the instance; concurrent readers are safe
 once a value is computed, and analyses of distinct groups are independent.
@@ -61,6 +62,7 @@ from .rng import RngState
 
 DEFAULT_ORDER_GUARD = 2000
 DEFAULT_PRIMITIVITY_GUARD = 10_000
+DEFAULT_EXACT_MAX_DEGREE = 128
 DEFAULT_JORDAN_WORDS = 200
 DEFAULT_JORDAN_WORD_LEN = 100
 # list entries (8 bytes each) of the transversal one primitivity test may build
@@ -193,6 +195,38 @@ def _involution_rows(gens: np.ndarray) -> list[bool]:
     """Whether each row of a (k, d) 0-based image array is an involution."""
     points = np.arange(gens.shape[1])
     return [np.array_equal(row.take(row), points) for row in gens]
+
+
+def _word(
+    gens: np.ndarray, rng: RngState, max_word_len: int, involutions: Optional[list[bool]] = None
+) -> np.ndarray:
+    """A random word in the rows of a (k, d) 0-based image array, as its image array.
+
+    The word takes ``1 + randbelow(max_word_len)`` letters, each
+    ``randbelow(k)``, drawn by one
+    :meth:`~bmwgroups.rng.RngState.randbelow_block`, and is their product
+    from the first letter on.  Adjacent equal letters whose row is an
+    involution cancel on a stack before anything is composed, so the product
+    is the same with fewer compositions, and a word that cancels whole is
+    the identity.  ``involutions`` flags such rows; without it every row is
+    tested.  A flag may be False for an involution, which only leaves its
+    letters uncancelled.
+    """
+    if involutions is None:
+        involutions = _involution_rows(gens)
+    length = 1 + rng.randbelow(max_word_len)
+    letters: list[int] = []
+    for i in rng.randbelow_block(np.full(length, len(gens))).tolist():
+        if letters and letters[-1] == i and involutions[i]:
+            letters.pop()
+        else:
+            letters.append(i)
+    if not letters:
+        return np.arange(gens.shape[1])
+    cur = gens[letters[0]]
+    for i in letters[1:]:
+        cur = gens[i].take(cur)
+    return cur
 
 
 def _orbit_labels(gens: np.ndarray) -> np.ndarray:
@@ -331,10 +365,6 @@ class PermutationGroup:
             self._rows = self.images0.tolist()
         return self._rows
 
-    def _has_odd_generator(self) -> bool:
-        """Whether some generator is odd (:func:`_odd_generators` of one block)."""
-        return _odd_generators(self, self.degree)[0]
-
     # -- order -----------------------------------------------------------------
 
     def order(self, guard: int = DEFAULT_ORDER_GUARD) -> int:
@@ -401,7 +431,7 @@ class PermutationGroup:
             return None
         # Alt(d) <= G at d >= 5, so G is also primitive and 2-transitive
         self._primitive = self._two_transitive = True
-        return math.factorial(d) if self._has_odd_generator() else math.factorial(d) // 2
+        return math.factorial(d) if _odd_generators(gens, d)[0] else math.factorial(d) // 2
 
     # -- orbit predicates --------------------------------------------------------
 
@@ -430,7 +460,7 @@ class PermutationGroup:
                 self._two_transitive = bool((labels[~np.eye(d, dtype=bool).ravel()] == 1).all())
         return self._two_transitive
 
-    def is_primitive(self, guard: int = DEFAULT_PRIMITIVITY_GUARD) -> bool:
+    def is_primitive(self) -> bool:
         """No nontrivial invariant partition; ``False`` for intransitive groups.
 
         A suborbit test (Atkinson, *An algorithm for finding the blocks of a
@@ -444,9 +474,10 @@ class PermutationGroup:
         primitive with no refinement at all.
         """
         if self._primitive is None:
-            if self.degree > guard:
+            if self.degree > DEFAULT_PRIMITIVITY_GUARD:
                 raise ResourceError(
-                    f"degree {self.degree} exceeds the primitivity guard {guard}"
+                    f"degree {self.degree} exceeds the primitivity guard"
+                    f" {DEFAULT_PRIMITIVITY_GUARD}"
                 )
             if not self.is_transitive():
                 self._primitive = False
@@ -561,38 +592,6 @@ class PermutationGroup:
 
     # -- alternating-group recognition --------------------------------------------
 
-    def _word_element(
-        self, rng: RngState, max_word_len: int, involutions: Optional[list[bool]] = None
-    ) -> np.ndarray:
-        """A random word in the generators, as its 0-based image array.
-
-        The word takes ``1 + randbelow(max_word_len)`` letters, each
-        ``randbelow(k)``, drawn by one
-        :meth:`~bmwgroups.rng.RngState.randbelow_block`, and is their product
-        from the first letter on.  Adjacent equal letters whose generator is
-        an involution cancel on a stack before anything is composed, so the
-        product is the same with fewer compositions, and a word that cancels
-        whole is the identity.  ``involutions`` flags such rows; without it
-        every row is tested.  A flag may be False for an involution, which
-        only leaves its letters uncancelled.
-        """
-        gens = self.images0
-        if involutions is None:
-            involutions = _involution_rows(gens)
-        length = 1 + rng.randbelow(max_word_len)
-        letters: list[int] = []
-        for i in rng.randbelow_block(np.full(length, len(gens))).tolist():
-            if letters and letters[-1] == i and involutions[i]:
-                letters.pop()
-            else:
-                letters.append(i)
-        if not letters:
-            return np.arange(self.degree)
-        cur = gens[letters[0]]
-        for i in letters[1:]:
-            cur = gens[i].take(cur)
-        return cur
-
     def contains_alternating(
         self,
         strategy: str = "exact",
@@ -620,14 +619,15 @@ class PermutationGroup:
             without a certificate.  Without ``rng`` the words come from one
             fixed stream, so word j is the same in every group with as many
             generators, and a batch of such groups composes it once on their
-            block-diagonal stack (see the module docstring).  With ``rng``,
+            block-diagonal stack (:func:`_classify_groups`).  With ``rng``,
             its draws are those of a loop over the words up to the first
             certifying one.
         """
         if strategy not in ("exact", "jordan"):
             raise UsageError(f"unknown strategy {strategy!r}")
         if strategy == "jordan":
-            return _alternating_by_jordan([self], rng, words, max_word_len)[0]
+            cls = self.classify("jordan", rng=rng, words=words, max_word_len=max_word_len)
+            return cls.contains_alternating
         if not len(self.images0):
             return self.degree <= 2  # Alt(d) is trivial only for d <= 2
         return self.order() >= math.factorial(self.degree) // 2
@@ -640,7 +640,7 @@ class PermutationGroup:
         *,
         rng: Optional[RngState] = None,
         order_guard: int = DEFAULT_ORDER_GUARD,
-        exact_max_degree: int = 128,
+        exact_max_degree: int = DEFAULT_EXACT_MAX_DEGREE,
         words: int = DEFAULT_JORDAN_WORDS,
         max_word_len: int = DEFAULT_JORDAN_WORD_LEN,
     ) -> GroupClassification:
@@ -699,64 +699,57 @@ class PermutationGroup:
 # -- batches of groups on one block-diagonal stack ---------------------------------------
 
 
-def _by_shape(groups: Sequence[PermutationGroup]) -> list[list[PermutationGroup]]:
-    """The groups, gathered by the (k, d) shape of their generator arrays."""
-    shapes: dict[tuple[int, int], list[PermutationGroup]] = {}
-    for g in groups:
-        shapes.setdefault(g.images0.shape, []).append(g)
+def _by_shape(groups: Sequence[PermutationGroup]) -> list[list[int]]:
+    """The indices of the groups, gathered by the (k, d) shape of their generator arrays."""
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, g in enumerate(groups):
+        shapes.setdefault(g.images0.shape, []).append(i)
     return list(shapes.values())
 
 
-def _stack_of(table: np.ndarray) -> PermutationGroup:
-    """The group whose generators are the rows of a (k, B*d) stack table, as they stand."""
-    table.flags.writeable = False
-    stack = object.__new__(PermutationGroup)
-    stack._init(table.shape[1], table, None)
-    return stack
-
-
-def _block_stack(groups: Sequence[PermutationGroup]) -> PermutationGroup:
-    """The block-diagonal stack of groups of one (k, d) shape, of degree B*d.
+def _block_stack(groups: Sequence[PermutationGroup]) -> np.ndarray:
+    """The block-diagonal stack of groups of one (k, d) shape: a read-only (k, B*d) table.
 
     Row r is every group's row r, block b shifted by b*d, so a word in the
-    stack's generators is that word in every block, and the stack's orbits
-    and cycles are those of its blocks.  ``images0.reshape(k, B, d)`` views
-    the blocks.  The stack of one group is the group.
+    stack's rows is that word in every block, and the stack's orbits and
+    cycles are those of its blocks.  ``reshape(k, B, d)`` views the blocks.
+    The stack of one group is its ``images0``.
     """
     if len(groups) == 1:
-        return groups[0]
+        return groups[0].images0
     d = groups[0].degree
     table = np.concatenate([g.images0 for g in groups], axis=1)
     table += np.repeat(np.arange(0, len(groups) * d, d), d)
-    # the blocks' rows are distinct and move points, so the stack's rows are
-    # its generators as they stand
-    return _stack_of(table)
+    table.flags.writeable = False
+    return table
 
 
-def _sub_stack(stack: PermutationGroup, d: int, keep: np.ndarray) -> PermutationGroup:
+def _sub_stack(stack: np.ndarray, d: int, keep: np.ndarray) -> np.ndarray:
     """The stack of the blocks a boolean mask keeps, each shifted down to its new place."""
-    k = len(stack.images0)
+    k = len(stack)
     kept = np.flatnonzero(keep)
-    table = stack.images0.reshape(k, -1, d).take(kept, axis=1).reshape(k, -1)
+    table = stack.reshape(k, -1, d).take(kept, axis=1).reshape(k, -1)
     table -= np.repeat((kept - np.arange(len(kept))) * d, d)
-    return _stack_of(table)
+    table.flags.writeable = False
+    return table
 
 
-def _transitive_blocks(stack: PermutationGroup, d: int) -> list[bool]:
+def _transitive_blocks(stack: np.ndarray, d: int) -> list[bool]:
     """Whether each block of a stack is transitive: all its orbit labels are its first point."""
-    labels = _orbit_labels(stack.images0).reshape(-1, d)
+    labels = _orbit_labels(stack).reshape(-1, d)
     return (labels == labels[:, :1]).all(axis=1).tolist()
 
 
 def _mark_transitive(groups: Sequence[PermutationGroup]) -> None:
     """Cache ``is_transitive`` of every group: one orbit labelling per shape."""
-    for members in _by_shape([g for g in groups if g._transitive is None]):
-        transitive = _transitive_blocks(_block_stack(members), members[0].degree)
-        for g, t in zip(members, transitive):
+    pending = [g for g in groups if g._transitive is None]
+    for shape in _by_shape(pending):
+        members = [pending[i] for i in shape]
+        for g, t in zip(members, _transitive_blocks(_block_stack(members), members[0].degree)):
             g._transitive = t
 
 
-def _odd_generators(stack: PermutationGroup, d: int) -> list[bool]:
+def _odd_generators(stack: np.ndarray, d: int) -> list[bool]:
     """Whether each block of a stack of degree-d groups has an odd generator.
 
     A row's block that is an involution and moves 2t points has parity t
@@ -764,9 +757,9 @@ def _odd_generators(stack: PermutationGroup, d: int) -> list[bool]:
     counted, and its parity is d minus its cycle count there.  The rows stop
     once every block has an odd one.
     """
-    points = np.arange(stack.degree)
-    found = np.zeros(stack.degree // d, dtype=bool)
-    for row in stack.images0:
+    points = np.arange(stack.shape[1])
+    found = np.zeros(stack.shape[1] // d, dtype=bool)
+    for row in stack:
         if found.all():
             break
         moved = (row != points).reshape(-1, d).sum(axis=1)
@@ -779,80 +772,33 @@ def _odd_generators(stack: PermutationGroup, d: int) -> list[bool]:
     return found.tolist()
 
 
-def _alternating_by_jordan(
-    groups: Sequence[PermutationGroup],
-    rng: Optional[RngState],
-    words: int,
-    max_word_len: int,
-    odd: Optional[dict[int, bool]] = None,
-) -> list[Optional[bool]]:
-    """``contains_alternating("jordan")`` of each group.
-
-    Each (k, d) shape is stacked once (:func:`_block_stack`), and that one
-    stack gives the groups' transitivity, when not cached, and their Jordan
-    words; with a dict ``odd`` it also gives each group's generator parity
-    (:func:`_odd_generators`), stored by ``id``.  Groups with no generator or
-    of degree below 5 are decided exactly, and intransitive ones are not
-    Alt(d)-containing.  The rest draw their words from the default stream,
-    started afresh for each shape, so one :func:`_jordan_words` call serves
-    all groups of a shape.  An explicit ``rng`` is one stream, consumed as
-    the loop would, so it serves one group.
-    """
-    if rng is not None and len(groups) > 1:
-        raise UsageError("an explicit rng serves one group")
-    answers: dict[int, Optional[bool]] = {}
-    for members in _by_shape(groups):
-        k, d = members[0].images0.shape
-        stack = _block_stack(members)
-        if any(g._transitive is None for g in members):
-            for g, t in zip(members, _transitive_blocks(stack, d)):
-                g._transitive = t
-        if odd is not None:
-            odd.update(zip(map(id, members), _odd_generators(stack, d)))
-        if not k or d < 5:
-            found = [g.contains_alternating("exact") for g in members]
-        else:
-            transitive = [g._transitive for g in members]
-            found = [None if t else False for t in transitive]
-            if any(transitive):
-                pending = [g for g in members if g._transitive]
-                if not all(transitive):
-                    stack = _sub_stack(stack, d, np.array(transitive))
-                stream = RngState(_JORDAN_SEED) if rng is None else rng
-                certified = iter(_jordan_words(pending, stack, stream, words, max_word_len))
-                found = [next(certified) if t else False for t in transitive]
-        answers.update(zip(map(id, members), found))
-    return [answers[id(g)] for g in groups]
-
-
 def _jordan_words(
     groups: Sequence[PermutationGroup],
-    stack: PermutationGroup,
+    stack: np.ndarray,
     rng: RngState,
     words: int,
     max_word_len: int,
 ) -> list[Optional[bool]]:
     """Jordan certificates of transitive groups of one (k, d) shape, d >= 5, from their stack.
 
-    Each word is composed once, by :meth:`PermutationGroup._word_element` on
-    the stack of the groups still uncertified, and one
-    :func:`_isolated_primes` call reads every block's prime off its cycles.
-    A block whose prime p lies in (d/2, d-3] is certified and leaves the
-    stack: a boolean mask drops it from the (k, B, d) view and the blocks
-    kept shift down, so the stack is never rebuilt from the groups.  The
-    stream stops once no block is left.  A block's flag for a smaller p
-    matters only once the words are spent: then
-    :meth:`PermutationGroup.is_primitive` decides.  The involution flags
-    come from the first stack: a row that is an involution in every block is
-    one in every sub-stack.
+    Each word is composed once, by :func:`_word` on the stack of the groups
+    still uncertified, and one :func:`_isolated_primes` call reads every
+    block's prime off its cycles.  A block whose prime p lies in (d/2, d-3]
+    is certified and leaves the stack: a boolean mask drops it from the
+    (k, B, d) view and the blocks kept shift down, so the stack is never
+    rebuilt from the groups.  The stream stops once no block is left.  A
+    block's flag for a smaller p matters only once the words are spent:
+    then :meth:`PermutationGroup.is_primitive` decides.  The involution
+    flags come from the first stack: a row that is an involution in every
+    block is one in every sub-stack.
     """
     d = groups[0].degree
     answers: list[Optional[bool]] = [None] * len(groups)
     small = np.zeros(len(groups), dtype=bool)
     live = np.arange(len(groups))  # the group of each block of the stack
-    involutions = _involution_rows(stack.images0)
+    involutions = _involution_rows(stack)
     for _ in range(words):
-        minima, lengths = _cycles(stack._word_element(rng, max_word_len, involutions), d)
+        minima, lengths = _cycles(_word(stack, rng, max_word_len, involutions), d)
         primes = _isolated_primes(minima // d, lengths, len(live), d)
         small[live] |= primes > 0
         hit = 2 * primes > d
@@ -875,15 +821,21 @@ def _classify_groups(
     *,
     rng: Optional[RngState] = None,
     order_guard: int = DEFAULT_ORDER_GUARD,
-    exact_max_degree: int = 128,
+    exact_max_degree: int = DEFAULT_EXACT_MAX_DEGREE,
     words: int = DEFAULT_JORDAN_WORDS,
     max_word_len: int = DEFAULT_JORDAN_WORD_LEN,
 ) -> list[GroupClassification]:
     """``classify`` of each group; the jordan route reads one stack per shape.
 
-    The caller bounds the stacks' memory: a shape's stack holds k·B·d
-    entries for its B groups.  An explicit ``rng`` serves one jordan-route
-    group.
+    Each (k, d) shape of the jordan-route groups is stacked once
+    (:func:`_block_stack`), and that stack gives the groups' transitivity,
+    when not cached, their generator parity and their Jordan words.  Groups
+    with no generator or of degree below 5 are decided exactly.  The
+    transitive rest draw their words from the default stream, started
+    afresh for each shape, so one :func:`_jordan_words` call serves a shape.
+    An explicit ``rng`` is one stream, consumed as the word loop would, so
+    it serves one jordan-route group.  The caller bounds the stacks' memory:
+    a shape's stack holds k·B·d entries for its B groups.
     """
     if strategy not in ("auto", "exact", "jordan"):
         raise UsageError(f"unknown strategy {strategy!r}")
@@ -892,12 +844,33 @@ def _classify_groups(
         for g in groups
     ]
     jordan = [g for g, e in zip(groups, exact) if not e]
-    odd: dict[int, bool] = {}
-    contains = iter(_alternating_by_jordan(jordan, rng, words, max_word_len, odd))
+    if rng is not None and len(jordan) > 1:
+        raise UsageError("an explicit rng serves one group")
+    found: list[Optional[GroupClassification]] = [None] * len(jordan)
+    for shape in _by_shape(jordan):
+        members = [jordan[i] for i in shape]
+        k, d = members[0].images0.shape
+        stack = _block_stack(members)
+        if any(g._transitive is None for g in members):
+            for g, t in zip(members, _transitive_blocks(stack, d)):
+                g._transitive = t
+        odd = _odd_generators(stack, d)
+        transitive = [g._transitive for g in members]
+        contains = [False] * len(members)  # an intransitive group holds no Alt(d)
+        if not k or d < 5:
+            contains = [g.contains_alternating("exact") for g in members]
+        elif any(transitive):
+            if not all(transitive):
+                stack = _sub_stack(stack, d, np.array(transitive))
+            stream = RngState(_JORDAN_SEED) if rng is None else rng
+            pending = [g for g, t in zip(members, transitive) if t]
+            certified = iter(_jordan_words(pending, stack, stream, words, max_word_len))
+            contains = [next(certified) if t else False for t in transitive]
+        for i, g, c, o in zip(shape, members, contains, odd):
+            found[i] = g._jordan_classification(c, o)
+    jordan_cls = iter(found)
     return [
-        g._exact_classification(order_guard)
-        if e
-        else g._jordan_classification(next(contains), odd[id(g)])
+        g._exact_classification(order_guard) if e else next(jordan_cls)
         for g, e in zip(groups, exact)
     ]
 

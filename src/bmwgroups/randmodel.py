@@ -66,6 +66,9 @@ from .errors import (
 )
 from .perm import FpfInvolution, _check_even, count_fpf, enumerate_fpf
 from .permgroup import (
+    DEFAULT_EXACT_MAX_DEGREE,
+    DEFAULT_JORDAN_WORD_LEN,
+    DEFAULT_JORDAN_WORDS,
     DEFAULT_ORDER_GUARD,
     GroupClassification,
     PermutationGroup,
@@ -679,9 +682,9 @@ def irr_certificate(
     radius: int = DEFAULT_BALL_RADIUS,
     *,
     rng: Optional[RngState] = None,
-    exact_max_degree: int = 128,
-    jordan_words: int = 200,
-    jordan_word_len: int = 100,
+    exact_max_degree: int = DEFAULT_EXACT_MAX_DEGREE,
+    jordan_words: int = DEFAULT_JORDAN_WORDS,
+    jordan_word_len: int = DEFAULT_JORDAN_WORD_LEN,
     order_guard: int = DEFAULT_ORDER_GUARD,
 ) -> CertificateReport:
     """Evaluate every certificate for one tuple.
@@ -708,9 +711,9 @@ def _certificates(
     radius: int,
     *,
     rng: Optional[RngState] = None,
-    exact_max_degree: int = 128,
-    jordan_words: int = 200,
-    jordan_word_len: int = 100,
+    exact_max_degree: int = DEFAULT_EXACT_MAX_DEGREE,
+    jordan_words: int = DEFAULT_JORDAN_WORDS,
+    jordan_word_len: int = DEFAULT_JORDAN_WORD_LEN,
     order_guard: int = DEFAULT_ORDER_GUARD,
 ) -> list[CertificateReport]:
     """:func:`irr_certificate` of each tuple of a checked (B, m, n) image array.
@@ -922,6 +925,8 @@ class McResult:
     bounds: dict = field(default_factory=dict)
 
     def primary(self) -> McStat:
+        if self.kind not in _STATISTICS:
+            raise UsageError(f"{self.kind} has no primary estimand, only {tuple(self.stats)}")
         return self.stats[_STATISTICS[self.kind][0]]
 
     def to_dict(self) -> dict:

@@ -428,7 +428,7 @@ def _canonical_one_row(s: StructureSet) -> StructureSet:
     return validate(1, s.n, squares)
 
 
-def _canonical_search(s: StructureSet, node_budget: int) -> StructureSet:
+def _canonical_search(s: StructureSet) -> StructureSet:
     """Lexicographically minimal row-major partner encoding over relabelings.
 
     Assumes m! <= n!.  Rows are brute-forced; column labels are assigned by a
@@ -466,7 +466,7 @@ def _canonical_search(s: StructureSet, node_budget: int) -> StructureSet:
             # "ambig" contains an unresolved forward reference.
             nonlocal best, nodes
             nodes += 1
-            if nodes > node_budget:
+            if nodes > _CANONICAL_NODE_BUDGET:
                 raise ResourceError(
                     "canonical-form search exceeded its node budget"
                 )
@@ -522,27 +522,23 @@ def _canonical_search(s: StructureSet, node_budget: int) -> StructureSet:
     return StructureSet(m, n, np.reshape(best, (m * n, 2)))
 
 
-def canonical_form(
-    s: StructureSet,
-    guard: int = DEFAULT_CANONICAL_GUARD,
-    node_budget: int = _CANONICAL_NODE_BUDGET,
-) -> StructureSet:
+def canonical_form(s: StructureSet) -> StructureSet:
     """A canonical representative of the relabeling orbit of ``s``.
 
     Two structure sets are relabelings of each other iff their canonical
-    forms are equal.  Exact minimization, guarded at ``m * n <= guard``.
+    forms are equal.  Exact minimization, guarded at ``m * n <= DEFAULT_CANONICAL_GUARD``.
     """
-    if s.m * s.n > guard:
+    if s.m * s.n > DEFAULT_CANONICAL_GUARD:
         raise ResourceError(
-            f"canonical form guarded at m*n <= {guard}, got {s.m * s.n}"
+            f"canonical form guarded at m*n <= {DEFAULT_CANONICAL_GUARD}, got {s.m * s.n}"
         )
     if s.m == 1:
         return _canonical_one_row(s)
     if s.n == 1:
         return _canonical_one_row(s.transpose()).transpose()
     if math.factorial(s.m) <= math.factorial(s.n):
-        return _canonical_search(s, node_budget)
-    return _canonical_search(s.transpose(), node_budget).transpose()
+        return _canonical_search(s)
+    return _canonical_search(s.transpose()).transpose()
 
 
 # -- presentations and summaries -------------------------------------------------------------

@@ -46,6 +46,9 @@ from bmwgroups.errors import (
 )
 from bmwgroups.perm import FpfInvolution, Permutation, enumerate_fpf
 from bmwgroups.permgroup import (
+    DEFAULT_EXACT_MAX_DEGREE,
+    DEFAULT_JORDAN_WORD_LEN,
+    DEFAULT_JORDAN_WORDS,
     DEFAULT_ORDER_GUARD,
     DEFAULT_PRIMITIVITY_GUARD,
     PermutationGroup,
@@ -894,9 +897,9 @@ def certificates_by_tuple(
     radius,
     *,
     rng=None,
-    exact_max_degree=128,
-    jordan_words=200,
-    jordan_word_len=100,
+    exact_max_degree=DEFAULT_EXACT_MAX_DEGREE,
+    jordan_words=DEFAULT_JORDAN_WORDS,
+    jordan_word_len=DEFAULT_JORDAN_WORD_LEN,
     order_guard=DEFAULT_ORDER_GUARD,
 ):
     """``irr_certificate`` of each tuple, its front read one tuple at a time.

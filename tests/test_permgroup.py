@@ -14,7 +14,6 @@ from bmwgroups.permgroup import (
     DEFAULT_JORDAN_WORD_LEN,
     DEFAULT_JORDAN_WORDS,
     PermutationGroup,
-    _alternating_by_jordan,
     _block_stack,
     _classify_groups,
     _cycles,
@@ -23,6 +22,7 @@ from bmwgroups.permgroup import (
     _odd_generators,
     _orbit_labels,
     _row_primes,
+    _word,
     schreier_analysis,
 )
 from bmwgroups.randmodel import (
@@ -154,7 +154,7 @@ class TestArrayGroup:
         rng = RngState(7)
         found = 0
         for _ in range(count):
-            word = g._word_element(rng, 100)
+            word = _word(g.images0, rng, 100)
             p = int(_row_primes(word[None])[0]) or None  # one block
             assert p == prime_cycle_by_walk(word.tolist())
             found += p is not None
@@ -185,7 +185,7 @@ class TestArrayGroup:
         rng = RngState(5)
         found = 0
         for _ in range(20):
-            word = stack._word_element(rng, 100)
+            word = _word(stack, rng, 100)
             minima, lengths = _cycles(word, 200)
             got = _isolated_primes(minima // 200, lengths, 30, 200).tolist()
             blocks = (word.reshape(30, 200) - np.arange(0, 6000, 200)[:, None]).tolist()
@@ -199,9 +199,9 @@ class TestArrayGroup:
             perms = [Permutation.identity(degree)] + [_random_perm(degree, rng) for _ in range(6)]
             for perm in perms:
                 g = PermutationGroup(degree, [perm])
-                assert g._has_odd_generator() == (perm.parity() == 1)
+                assert _odd_generators(g.images0, degree) == [perm.parity() == 1]
             g = PermutationGroup(degree, perms)
-            assert g._has_odd_generator() == any(perm.parity() for perm in perms)
+            assert _odd_generators(g.images0, degree) == [any(perm.parity() for perm in perms)]
 
     def test_transitivity_matches_search(self):
         d = 4096
@@ -241,14 +241,14 @@ class TestArrayGroup:
         rows = g.images0.tolist()
         rng, scalar = RngState(23), RngState(23)
         for _ in range(200):
-            word = g._word_element(rng, 100)
+            word = _word(g.images0, rng, 100)
             assert word.tolist() == word_by_scalar_loop(rows, scalar, 100)
             assert rng.index == scalar.index
         assert any(rejected) == lowered  # the block draw's rejection branch ran
 
     @staticmethod
     def _word_cases():
-        """(group, involution flags or None) pairs whose words reduce differently."""
+        """(table, involution flags or None) pairs whose words reduce differently."""
         cycles = group(7, cyc(7, (1, 2, 3)), cyc(7, (3, 4, 5, 6, 7)))  # no letter cancels
         mixed = group(5, cyc(5, (1, 2)), cyc(5, (1, 2, 3, 4, 5)))  # only the first cancels
         alone = group(6, cyc(6, (1, 2), (3, 4), (5, 6)))  # every even-length word cancels whole
@@ -256,24 +256,25 @@ class TestArrayGroup:
         first = group(7, cyc(7, (1, 2), (3, 4)), cyc(7, (1, 2, 3, 4, 5, 6, 7)))
         second = group(7, cyc(7, (1, 2, 3, 4, 5, 6, 7)), cyc(7, (5, 6)))
         stack = _block_stack([first, second])
-        flags = _involution_rows(stack.images0)
+        flags = _involution_rows(stack)
         assert flags == [False, False]
         assert _involution_rows(first.images0) == [True, False]
         # a sub-stack keeps the flags of the stack it came from
-        return [(cycles, None), (mixed, None), (alone, None), (stack, None), (first, flags)]
+        tables = [cycles.images0, mixed.images0, alone.images0, stack, first.images0]
+        return list(zip(tables, [None, None, None, None, flags]))
 
     @pytest.mark.parametrize("lowered", [False, True])
     def test_reduced_word_equals_the_scalar_loop(self, monkeypatch, lowered):
         rejected = lower_rejection_limits(monkeypatch) if lowered else []
         identities = 0
-        for g, flags in self._word_cases():
-            rows = g.images0.tolist()
+        for table, flags in self._word_cases():
+            rows = table.tolist()
             rng, scalar = RngState(31), RngState(31)
             for _ in range(300):
-                word = g._word_element(rng, 12, flags)
+                word = _word(table, rng, 12, flags)
                 assert word.tolist() == word_by_scalar_loop(rows, scalar, 12)
                 assert rng.index == scalar.index
-                identities += word.tolist() == list(range(g.degree))
+                identities += word.tolist() == list(range(table.shape[1]))
         assert identities  # some words cancelled whole
         assert any(rejected) == lowered
 
@@ -287,13 +288,13 @@ class TestArrayGroup:
 
         monkeypatch.setattr(RngState, "randbelow", counted)
         g = _b_side_group(6, 200, 11)
-        g._word_element(RngState(23), 100)
+        _word(g.images0, RngState(23), 100)
         assert calls == [100]  # the block path draws only the length
         lower_rejection_limits(monkeypatch, by=1 << 63)
         calls.clear()
         rng = RngState(23)
         while len(calls) < 2:
-            g._word_element(rng, 100)
+            _word(g.images0, rng, 100)
         assert set(calls) == {100, len(g.images0)}  # the scalar loop drew the letters
 
     def test_certificate_groups_classify_as_permutation_groups(self):
@@ -534,7 +535,7 @@ class TestTransitivity:
         ) - 1
         cases = [
             b_sides[0].images0,
-            _block_stack(b_sides).images0,  # involutions only, one intransitive block
+            _block_stack(b_sides),  # involutions only, one intransitive block
             involutions,
             mixed,
             np.vstack([np.arange(d), involutions[:1], np.arange(d)]),  # identity rows
@@ -547,7 +548,7 @@ class TestTransitivity:
 
     def test_orbit_labels_of_involutions_hold_no_copy_of_the_rows(self):
         b_sides = [_b_side_group(6, 200, seed) for seed in range(20)]
-        rows = _block_stack(b_sides).images0
+        rows = _block_stack(b_sides)
         tracemalloc.start()
         try:
             _orbit_labels(rows)
@@ -786,7 +787,7 @@ class TestAlternatingRecognition:
 
 def _stack_equals_word_loop(groups, words=DEFAULT_JORDAN_WORDS):
     """The stack's answers, checked against one word loop per group on a fresh copy."""
-    got = _alternating_by_jordan(groups, None, words, DEFAULT_JORDAN_WORD_LEN)
+    got = [c.contains_alternating for c in _classify_groups(groups, "jordan", words=words)]
     fresh = [PermutationGroup._from_images0(g.degree, g.images0) for g in groups]
     assert got == [
         contains_alternating_by_word_loop(
@@ -921,8 +922,6 @@ class TestJordanStack:
     def test_explicit_rng_serves_one_group(self):
         groups = [_b_side_group(6, 200, seed) for seed in range(2)]
         with pytest.raises(UsageError):
-            _alternating_by_jordan(groups, RngState(1), 10, 100)
-        with pytest.raises(UsageError):
             _classify_groups(groups, "jordan", rng=RngState(1))
 
 
@@ -945,7 +944,7 @@ class TestSharedStack:
 
         monkeypatch.setattr(permgroup, "_block_stack", counted)
         batch = self._batch()
-        got = _alternating_by_jordan(batch, None, DEFAULT_JORDAN_WORDS, DEFAULT_JORDAN_WORD_LEN)
+        got = [c.contains_alternating for c in _classify_groups(batch, "jordan")]
         assert sorted(stacked) == [(2, 30), (2, 40), (6, 200)]
         # the sampled blocks certify on several different words
         certifying = set()
@@ -988,6 +987,23 @@ class TestSharedStack:
 
 
 class TestClassify:
+    def test_one_batch_interleaves_the_exact_and_jordan_routes(self):
+        batch = [
+            _symmetric(30),
+            _b_side_group(6, 200, 0),
+            _symmetric(40),
+            _halves_tuple_group(200, 5),
+            group(130, *_wreath(2, 65)),
+            _b_side_group(6, 200, 1),
+            group(6, Permutation.identity(6)),
+            _symmetric(130),
+        ]
+        got = _classify_groups(batch, "auto")
+        assert "".join(c.method[0] for c in got) == "ejejjjej"
+        assert got == [
+            PermutationGroup._from_images0(g.degree, g.images0).classify("auto") for g in batch
+        ]
+
     def test_exact_classification(self):
         cls = SYM5.classify("exact")
         assert cls.method == "exact"

@@ -993,6 +993,11 @@ class TestMonteCarlo:
         stat = result.primary()
         assert abs(stat.mean - 0.6) <= 3 * stat.std_error
 
+    def test_certificate_rates_has_no_primary_estimand(self):
+        result = monte_carlo("certificate_rates", 3, 6, 5, RngState(0))
+        with pytest.raises(UsageError, match="hji_certified"):
+            result.primary()
+
     def test_enumeration_triple_rate(self):
         result = monte_carlo("triple_matching_rate", 3, 4, 0, RngState(0))
         assert result.mode == "enumeration"

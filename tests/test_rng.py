@@ -142,7 +142,7 @@ def test_only_rng_names_the_stream_internals():
 DRAWS = {"randbelow", "randbelow_block", "randbelow_draft"}
 # (module, function) of every sampler; Jordan word letters are drawn in one
 SAMPLERS = {
-    ("permgroup.py", "_word_element"),
+    ("permgroup.py", "_word"),
     ("radu.py", "random_filler"),
     ("randmodel.py", "sample_tuple"),
     ("randmodel.py", "sample_tuple_images_batch"),
@@ -177,7 +177,7 @@ def test_one_jordan_word_composer():
     assert _uses(DRAWS) == SAMPLERS
     assert _uses({"_JORDAN_SEED"}) == {
         ("permgroup.py", None),
-        ("permgroup.py", "_alternating_by_jordan"),
+        ("permgroup.py", "_classify_groups"),
     }
 
 
